@@ -52,7 +52,9 @@ int main(int argc, char** argv) {
   eval::SweepSpec sweep(circuit);
   sweep.options.sampleEvery = std::max<std::size_t>(1, circuit.size() / 60);
   sweep.reference = eval::ReferencePolicy::None; // time the numeric portion only
-  sweep.addEpsilons({0.0, 1e-20, 1e-15, 1e-10, 1e-5, 1e-3});
+  for (const double epsilon : {0.0, 1e-20, 1e-15, 1e-10, 1e-5, 1e-3}) {
+    sweep.addRun({epsilon});
+  }
   sweep.applyApprox(cli.approx);
 
   std::cout << "== exec_sweep: Fig. 3 numeric portion, " << nqubits << " qubits, "

@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
   sweep.options.sampleEvery = std::max<std::size_t>(1, circuit.size() / 60);
   cli.obs.applyTo(sweep.options);
   sweep.reference = eval::ReferencePolicy::None;
-  sweep.addEpsilons({0.0, 1e-10, 1e-6, 1e-4, 1e-3});
+  for (const double epsilon : {0.0, 1e-10, 1e-6, 1e-4, 1e-3}) {
+    sweep.addRun({epsilon});
+  }
   sweep.applyApprox(cli.approx);
 
   const auto pool = cli.makePool();

@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
   sweep.reference = eval::ReferencePolicy::Cached;
   sweep.referenceCachePath = "fig5_reference.qref";
   sweep.refreshReference = cli.obs.refreshReference;
-  sweep.addEpsilons({0.0, 1e-20, 1e-15, 1e-10, 1e-5, 1e-3});
+  for (const double epsilon : {0.0, 1e-20, 1e-15, 1e-10, 1e-5, 1e-3}) {
+    sweep.addRun({epsilon});
+  }
   sweep.applyApprox(cli.approx);
 
   const auto pool = cli.makePool();

@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
   sweep.options.sampleEvery = std::max<std::size_t>(1, circuit.size() / 40);
   cli.obs.applyTo(sweep.options);
   sweep.reference = eval::ReferencePolicy::Inline;
-  sweep.addEpsilons({0.0, 1e-15, 1e-10, 1e-5, 1e-2});
+  for (const double epsilon : {0.0, 1e-15, 1e-10, 1e-5, 1e-2}) {
+    sweep.addRun({epsilon});
+  }
   sweep.applyApprox(cli.approx);
 
   const auto pool = cli.makePool();

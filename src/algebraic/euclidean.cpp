@@ -10,8 +10,6 @@ namespace qadd::alg {
 
 namespace {
 
-#if QADD_BIGINT_SSO
-
 using detail::I128;
 using detail::SmallZ;
 
@@ -61,8 +59,6 @@ bool euclideanQuotientSmall(const ZOmega& z1, const ZOmega& z2, ZOmega& out) {
                BigInt::fromInt128(detail::divRoundI128(nd, den))};
   return true;
 }
-
-#endif // QADD_BIGINT_SSO
 
 /// Numerator and (rational, possibly negative) denominator of z1/z2 so that
 /// z1/z2 = numerator / denominator with numerator in Z[omega], denominator in Z.
@@ -169,7 +165,6 @@ ZOmega rotationCanonical(const ZOmega& z) {
 
 ZOmega euclideanQuotient(const ZOmega& z1, const ZOmega& z2) {
   assert(!z2.isZero());
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     ZOmega quotient;
     if (euclideanQuotientSmall(z1, z2, quotient)) {
@@ -177,7 +172,6 @@ ZOmega euclideanQuotient(const ZOmega& z1, const ZOmega& z2) {
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   ZOmega numerator;
   BigInt denominator;
   rationalizedQuotient(z1, z2, numerator, denominator);

@@ -35,8 +35,6 @@ std::size_t QOmega::maxBits() const noexcept {
   return std::max(num_.maxCoefficientBits(), den_.bitLength());
 }
 
-#if QADD_BIGINT_SSO
-
 bool QOmega::canonicalizeSmall() {
   // Coefficients below 2^62 keep every intermediate (negation, the halving
   // steps of divide-by-sqrt2, the u64 Euclid content GCD) inside int64.
@@ -100,22 +98,18 @@ bool QOmega::canonicalizeSmall() {
   return true;
 }
 
-#endif // QADD_BIGINT_SSO
-
 void QOmega::canonicalize() {
   if (num_.isZero()) {
     k_ = 0;
     den_ = BigInt{1};
     return;
   }
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     if (canonicalizeSmall()) {
       return;
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   // (a) denominator: positive sign, powers of two folded into k (2 = sqrt2^2).
   if (den_.isNegative()) {
     den_ = -den_;

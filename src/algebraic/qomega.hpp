@@ -124,8 +124,8 @@ private:
   /// int64 kernel for canonicalize() (Algorithm 1): sign-fix + 2-folding of
   /// the denominator, sqrt2 divisions, and odd-content cancellation on
   /// machine words.  Returns false (leaving *this untouched) when a
-  /// coefficient exceeds the kernel bound.  Compiled out without
-  /// QADD_BIGINT_SSO.  \pre !num_.isZero() && !den_.isZero()
+  /// coefficient exceeds the kernel bound.
+  /// \pre !num_.isZero() && !den_.isZero()
   bool canonicalizeSmall();
 
   ZOmega num_;

@@ -6,13 +6,13 @@
 /// Each kernel loads the BigInt coefficients into machine words when they are
 /// provably small enough that every intermediate fits in a signed 128-bit
 /// accumulator, runs the ring formula on hardware integers, and writes the
-/// results back through the (allocation-free, under SSO) small-value BigInt
+/// results back through the allocation-free small-value BigInt
 /// constructors.  When any coefficient exceeds the per-kernel bit bound the
 /// operation falls back to the general BigInt path — results are identical
 /// either way, which tests/test_fuzz.cpp checks differentially.
 ///
-/// The kernels are compiled only under QADD_BIGINT_SSO and can additionally be
-/// disabled at runtime via qadd::detail::setSmallFastPaths(false).
+/// The kernels can be disabled at runtime via
+/// qadd::detail::setSmallFastPaths(false).
 #pragma once
 
 #include "bigint/bigint.hpp"
@@ -40,8 +40,6 @@ struct SmallPathStats {
   static SmallPathStats stats;
   return stats;
 }
-
-#if QADD_BIGINT_SSO
 
 using I128 = __int128;
 
@@ -88,7 +86,5 @@ template <typename ZOmegaT>
   }
   return quotient;
 }
-
-#endif // QADD_BIGINT_SSO
 
 } // namespace qadd::alg::detail

@@ -9,7 +9,6 @@
 
 namespace qadd::alg {
 
-#if QADD_BIGINT_SSO
 namespace {
 
 using detail::I128;
@@ -24,7 +23,6 @@ constexpr std::size_t kMulBits = 62;
 constexpr std::size_t kEuclideanBits = 30;
 
 } // namespace
-#endif
 
 std::size_t ZOmega::maxCoefficientBits() const noexcept {
   return std::max(std::max(a_.bitLength(), b_.bitLength()),
@@ -34,7 +32,6 @@ std::size_t ZOmega::maxCoefficientBits() const noexcept {
 ZOmega ZOmega::operator-() const { return {-a_, -b_, -c_, -d_}; }
 
 ZOmega& ZOmega::operator+=(const ZOmega& rhs) {
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     SmallZ x;
     SmallZ y;
@@ -48,7 +45,6 @@ ZOmega& ZOmega::operator+=(const ZOmega& rhs) {
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   a_ += rhs.a_;
   b_ += rhs.b_;
   c_ += rhs.c_;
@@ -57,7 +53,6 @@ ZOmega& ZOmega::operator+=(const ZOmega& rhs) {
 }
 
 ZOmega& ZOmega::operator-=(const ZOmega& rhs) {
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     SmallZ x;
     SmallZ y;
@@ -71,7 +66,6 @@ ZOmega& ZOmega::operator-=(const ZOmega& rhs) {
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   a_ -= rhs.a_;
   b_ -= rhs.b_;
   c_ -= rhs.c_;
@@ -80,7 +74,6 @@ ZOmega& ZOmega::operator-=(const ZOmega& rhs) {
 }
 
 ZOmega& ZOmega::operator*=(const ZOmega& rhs) {
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     SmallZ x;
     SmallZ y;
@@ -99,7 +92,6 @@ ZOmega& ZOmega::operator*=(const ZOmega& rhs) {
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   // Expand on the basis {w^3, w^2, w, 1} using w^4 = -1:
   //   w^3*w^3 = -w^2, w^3*w^2 = -w, w^3*w = -1, w^2*w^2 = -1, w^2*w = w^3.
   const BigInt& a1 = a_;
@@ -157,7 +149,6 @@ ZOmega ZOmega::divideBySqrt2() const {
 }
 
 void ZOmega::norm(BigInt& u, BigInt& v) const {
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     SmallZ z;
     if (detail::load(*this, z, kMulBits)) {
@@ -170,14 +161,12 @@ void ZOmega::norm(BigInt& u, BigInt& v) const {
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   // N(z) = z*conj(z) = (a^2+b^2+c^2+d^2) + (ab + bc + cd - da) * sqrt(2).
   u = a_ * a_ + b_ * b_ + c_ * c_ + d_ * d_;
   v = a_ * b_ + b_ * c_ + c_ * d_ - d_ * a_;
 }
 
 BigInt ZOmega::euclideanValue() const {
-#if QADD_BIGINT_SSO
   if (qadd::detail::smallFastPathsEnabled()) {
     SmallZ z;
     if (detail::load(*this, z, kEuclideanBits)) {
@@ -189,7 +178,6 @@ BigInt ZOmega::euclideanValue() const {
     }
     ++detail::smallPathStats().spills;
   }
-#endif
   BigInt u;
   BigInt v;
   norm(u, v);

@@ -11,15 +11,10 @@ namespace qadd {
 
 namespace detail {
 
-bool gSmallFastPaths = QADD_BIGINT_SSO != 0;
+bool gSmallFastPaths = true;
 
 bool setSmallFastPaths(bool enabled) noexcept {
-#if QADD_BIGINT_SSO
   return std::exchange(gSmallFastPaths, enabled);
-#else
-  (void)enabled;
-  return false; // no kernels compiled in; the flag stays off
-#endif
 }
 
 } // namespace detail
@@ -37,11 +32,9 @@ int trailingZeros(std::uint32_t x) noexcept {
   return __builtin_ctz(x);
 }
 
-#if QADD_BIGINT_SSO
-/// Shorthand for "the word kernels may run": compiled in and not disabled by
-/// the differential-testing toggle.
+/// Shorthand for "the word kernels may run": not disabled by the
+/// differential-testing toggle.
 bool fastPath() noexcept { return detail::smallFastPathsEnabled(); }
-#endif
 
 } // namespace
 
@@ -443,7 +436,6 @@ BigInt::LimbVec BigInt::mulMagnitude(const LimbVec& a, const LimbVec& b) {
 }
 
 BigInt& BigInt::operator+=(const BigInt& rhs) {
-#if QADD_BIGINT_SSO
   if (fastPath() && magFitsU64() && rhs.magFitsU64()) {
     const std::uint64_t x = magU64();
     const std::uint64_t y = rhs.magU64();
@@ -457,7 +449,6 @@ BigInt& BigInt::operator+=(const BigInt& rhs) {
     }
     return *this;
   }
-#endif
   if (negative_ == rhs.negative_) {
     limbs_ = addMagnitude(limbs_, rhs.limbs_);
   } else if (compareMagnitude(limbs_, rhs.limbs_) >= 0) {
@@ -471,7 +462,6 @@ BigInt& BigInt::operator+=(const BigInt& rhs) {
 }
 
 BigInt& BigInt::operator-=(const BigInt& rhs) {
-#if QADD_BIGINT_SSO
   if (fastPath() && magFitsU64() && rhs.magFitsU64()) {
     const std::uint64_t x = magU64();
     const std::uint64_t y = rhs.magU64();
@@ -485,7 +475,6 @@ BigInt& BigInt::operator-=(const BigInt& rhs) {
     }
     return *this;
   }
-#endif
   if (negative_ != rhs.negative_) {
     limbs_ = addMagnitude(limbs_, rhs.limbs_);
   } else if (compareMagnitude(limbs_, rhs.limbs_) >= 0) {
@@ -499,7 +488,6 @@ BigInt& BigInt::operator-=(const BigInt& rhs) {
 }
 
 BigInt& BigInt::operator*=(const BigInt& rhs) {
-#if QADD_BIGINT_SSO
   if (fastPath() && magFitsU64() && rhs.magFitsU64()) {
     // One hardware 64x64 -> 128 multiply replaces the schoolbook limb loop;
     // products past 64 bits spill to up to four limbs.
@@ -508,7 +496,6 @@ BigInt& BigInt::operator*=(const BigInt& rhs) {
     setMagU128(product, negative_ != rhs.negative_);
     return *this;
   }
-#endif
   negative_ = negative_ != rhs.negative_;
   limbs_ = mulMagnitude(limbs_, rhs.limbs_);
   trim();
@@ -641,7 +628,6 @@ void BigInt::divMod(const BigInt& numerator, const BigInt& denominator,
   if (denominator.isZero()) {
     throw std::domain_error("BigInt: division by zero");
   }
-#if QADD_BIGINT_SSO
   if (fastPath() && numerator.magFitsU64() && denominator.magFitsU64()) {
     // Read both operands before writing: quotient/remainder may alias them.
     const std::uint64_t x = numerator.magU64();
@@ -652,7 +638,6 @@ void BigInt::divMod(const BigInt& numerator, const BigInt& denominator,
     remainder.setMagU64(x % y, remainderNegative);
     return;
   }
-#endif
   LimbVec q;
   LimbVec r;
   divModMagnitude(numerator.limbs_, denominator.limbs_, q, r);
@@ -665,7 +650,6 @@ void BigInt::divMod(const BigInt& numerator, const BigInt& denominator,
 }
 
 BigInt BigInt::divRound(const BigInt& numerator, const BigInt& denominator) {
-#if QADD_BIGINT_SSO
   if (fastPath() && numerator.magFitsU64() && denominator.magFitsU64() &&
       !denominator.isZero()) {
     const std::uint64_t x = numerator.magU64();
@@ -679,7 +663,6 @@ BigInt BigInt::divRound(const BigInt& numerator, const BigInt& denominator) {
     result.setMagU64(q, numerator.negative_ != denominator.negative_);
     return result;
   }
-#endif
   BigInt quotient;
   BigInt remainder;
   divMod(numerator, denominator, quotient, remainder);
@@ -715,13 +698,11 @@ BigInt BigInt::shiftLeft(std::size_t bits) const {
   if (isZero() || bits == 0) {
     return *this;
   }
-#if QADD_BIGINT_SSO
   if (fastPath() && magFitsU64() && bits < 64) {
     BigInt result;
     result.setMagU128(static_cast<unsigned __int128>(magU64()) << bits, negative_);
     return result;
   }
-#endif
   const std::size_t limbShift = bits / kLimbBits;
   const std::size_t bitShift = bits % kLimbBits;
   BigInt result;
@@ -737,13 +718,11 @@ BigInt BigInt::shiftLeft(std::size_t bits) const {
 }
 
 BigInt BigInt::shiftRight(std::size_t bits) const {
-#if QADD_BIGINT_SSO
   if (fastPath() && magFitsU64()) {
     BigInt result;
     result.setMagU64(bits >= 64 ? 0 : magU64() >> bits, negative_);
     return result;
   }
-#endif
   const std::size_t limbShift = bits / kLimbBits;
   if (limbShift >= limbs_.size()) {
     return BigInt{};
@@ -806,7 +785,6 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
   if (b.isZero()) {
     return a;
   }
-#if QADD_BIGINT_SSO
   if (fastPath() && a.magFitsU64() && b.magFitsU64()) {
     // Hardware Euclid straight away — no multi-limb setup needed.
     std::uint64_t x = a.magU64();
@@ -818,7 +796,6 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
     a.setMagU64(x, false);
     return a;
   }
-#endif
   // Lehmer's GCD: run Euclid on the aligned top 63 bits of both operands with
   // int64 cofactors, then apply the accumulated 2x2 matrix (determinant +-1,
   // so the gcd is preserved) to the full values in one O(limbs) pass.  Each

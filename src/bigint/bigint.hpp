@@ -7,15 +7,15 @@
 /// sequence of 32-bit limbs, multiplication switches to Karatsuba above a
 /// threshold, and division implements Knuth's Algorithm D.
 ///
-/// Storage is small-size optimized (QADD_BIGINT_SSO, default on): magnitudes
-/// of up to two limbs — i.e. |value| < 2^64, the overwhelmingly common case
-/// for the Q[omega] coefficients of Clifford+T workloads — live inline in the
-/// object with no heap allocation; larger magnitudes spill to a heap buffer.
+/// Storage is small-size optimized: magnitudes of up to two limbs — i.e.
+/// |value| < 2^64, the overwhelmingly common case for the Q[omega]
+/// coefficients of Clifford+T workloads — live inline in the object with no
+/// heap allocation; larger magnitudes spill to a heap buffer.
 /// On top of the storage layout, the arithmetic operators take single-word
 /// (u64/u128) fast paths for small operands and fall back to the general
-/// limb-vector algorithms on overflow.  Building with -DQADD_BIGINT_SSO=0
-/// restores the plain std::vector representation and disables every word
-/// kernel (the escape hatch CI exercises); results are identical either way.
+/// limb-vector algorithms on overflow.  detail::setSmallFastPaths(false)
+/// routes every operand through the general algorithms instead (the
+/// differential oracle the fuzzer uses); results are identical either way.
 ///
 /// The class is a regular value type: copyable, movable, totally ordered,
 /// hashable, and streamable.  All operations are exact.
@@ -29,10 +29,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef QADD_BIGINT_SSO
-#define QADD_BIGINT_SSO 1
-#endif
 
 namespace qadd {
 
@@ -49,12 +45,9 @@ bool setSmallFastPaths(bool enabled) noexcept;
 extern bool gSmallFastPaths; ///< use smallFastPathsEnabled(), not this
 [[nodiscard]] inline bool smallFastPathsEnabled() noexcept { return gSmallFastPaths; }
 
-#if QADD_BIGINT_SSO
-
 /// Small-size-optimized limb buffer: up to kInlineLimbs 32-bit limbs inline,
 /// larger magnitudes in a heap array.  Deliberately minimal — exactly the
-/// std::vector surface the BigInt algorithms use, so QADD_BIGINT_SSO=0 can
-/// swap std::vector back in.
+/// std::vector surface the BigInt algorithms use.
 class LimbVec {
 public:
   using value_type = std::uint32_t;
@@ -202,12 +195,6 @@ private:
   std::uint32_t capacity_ = kInlineLimbs;
 };
 
-#else // !QADD_BIGINT_SSO — escape hatch: the plain heap representation.
-
-using LimbVec = std::vector<std::uint32_t>;
-
-#endif
-
 } // namespace detail
 
 /// Arbitrary-precision signed integer (sign + magnitude, 32-bit limbs).
@@ -254,15 +241,9 @@ public:
   [[nodiscard]] std::int64_t toInt64() const;
 
   /// True iff the magnitude is stored inline (no heap buffer) — i.e. the
-  /// small-size-optimized representation is active for this value.  Always
-  /// false in QADD_BIGINT_SSO=0 builds.  Exposed for tests and benchmarks.
-  [[nodiscard]] bool isInline() const noexcept {
-#if QADD_BIGINT_SSO
-    return limbs_.isInline();
-#else
-    return false;
-#endif
-  }
+  /// small-size-optimized representation is active for this value.
+  /// Exposed for tests and benchmarks.
+  [[nodiscard]] bool isInline() const noexcept { return limbs_.isInline(); }
 
   /// Closest double (may overflow to +-inf for huge magnitudes).
   [[nodiscard]] double toDouble() const noexcept;
@@ -282,8 +263,7 @@ public:
   // followed by the magnitude as `magnitudeByteCount` little-endian bytes with
   // no trailing zero byte.  Zero is the single header byte 0x00.  The encoding
   // depends only on the value, never on the storage representation (inline vs
-  // spilled), so QDDS snapshots are byte-identical across QADD_BIGINT_SSO
-  // configurations.
+  // spilled), so QDDS snapshots never depend on where a magnitude lives.
 
   /// Append the encoding of this value to `out`.
   void toBytes(std::vector<std::uint8_t>& out) const;
@@ -371,8 +351,8 @@ private:
   [[nodiscard]] bool magFitsU64() const noexcept { return limbs_.size() <= 2; }
   /// Magnitude as u64. \pre magFitsU64()
   [[nodiscard]] std::uint64_t magU64() const noexcept;
-  /// Overwrite with a <= 2-limb magnitude; never allocates under SSO
-  /// (inline capacity is always two limbs).
+  /// Overwrite with a <= 2-limb magnitude; never allocates (inline capacity
+  /// is always two limbs).
   void setMagU64(std::uint64_t magnitude, bool negative);
   /// Overwrite with a <= 4-limb magnitude (allocates only when spilling
   /// past two limbs).

@@ -43,15 +43,6 @@ public:
     /// node count exceeds this after a decRef, the package garbage-collects.
     /// 0 disables auto-GC (collections only run on demand).
     std::size_t gcWatermark = 0;
-    /// Fork-join recursion cutoff for the package's parallel kernels: fork
-    /// down to this many *effective* levels below each kernel root.  With
-    /// skip-level edges the kernels fast-forward implicit-identity prefixes
-    /// in O(1) without recursing, so the budget is only spent on levels that
-    /// are actually materialized — a deep skip still forks usefully below
-    /// it.  0 derives ceil(log2(workers)) + 2 when an executor is attached.
-    /// Only effective in exact mode (tolerance-mode kernels always run
-    /// serially).
-    std::size_t parallelDepth = 0;
     /// Represent untouched qubits of matrix DDs implicitly via skip-level
     /// edges (identity collapse in makeNode, skip-emitting makeGate).  On by
     /// default; turning it off restores fully materialized identity towers

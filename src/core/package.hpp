@@ -39,8 +39,8 @@
 /// attaches an exec::ThreadPool and — when the weight system's memoization
 /// is order-independent (algebraic, or numeric in exact mode) — switches the
 /// package into concurrent mode: add/multiply/kronecker fork their child
-/// subproblems onto the pool down to a depth cutoff (Config::parallelDepth;
-/// 0 derives ceil(log2(workers)) + 2), the unique tables take stripe locks
+/// subproblems onto the pool down to a depth cutoff (ceil(log2(workers)) + 2
+/// effective levels, see parallelDepth()), the unique tables take stripe locks
 /// around find-or-insert, the operation caches publish entries through
 /// per-slot seqlocks, and the arenas hand out per-worker spans.  With no
 /// executor (or a 1-worker pool, or an order-dependent system) every one of
@@ -70,6 +70,7 @@
 #include <map>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -134,13 +135,11 @@ public:
 
   explicit Package(Qubit nqubits, typename System::Config config = {})
       : nqubits_(nqubits), system_(config), gcWatermark_(config.gcWatermark),
-        configParallelDepth_(config.parallelDepth), skipIdentities_(config.skipIdentities) {
+        skipIdentities_(config.skipIdentities) {
     if (system_.memoizationOrderDependent()) {
       // A recomputed result could differ from the cached one (tolerance-mode
       // interning): keep every memoized result so nothing is ever recomputed.
-      for (const CacheRegistryEntry& entry : kCacheRegistry) {
-        entry.setLossless(*this, true);
-      }
+      forEachCache([](CacheKind, auto& cache) { cache.setLossless(true); });
     }
   }
 
@@ -168,33 +167,23 @@ public:
       return;
     }
     concurrent_ = wantConcurrent;
-    if (concurrent_) {
-      parallelDepth_ = configParallelDepth_ != 0
-                           ? configParallelDepth_
-                           : static_cast<std::size_t>(std::bit_width(workers - 1)) + 2;
-    } else {
-      parallelDepth_ = 0;
-    }
-    vUnique_.setConcurrent(concurrent_);
-    mUnique_.setConcurrent(concurrent_);
-    if (concurrent_) {
-      vMem_.setConcurrent(workers);
-      mMem_.setConcurrent(workers);
-    }
-    for (const CacheRegistryEntry& entry : kCacheRegistry) {
-      entry.setConcurrent(*this, concurrent_);
-    }
+    parallelDepth_ = concurrent_ ? static_cast<std::size_t>(std::bit_width(workers - 1)) + 2 : 0;
+    std::apply(
+        [this, workers](auto&... tables) { (tables.setConcurrent(concurrent_, workers), ...); },
+        tables_);
+    forEachCache([this](CacheKind, auto& cache) { cache.setConcurrent(concurrent_); });
     system_.setConcurrent(concurrent_);
   }
   [[nodiscard]] exec::ThreadPool* executor() const { return executor_; }
   /// True iff the kernels currently run the forked, striped, seqlocked paths.
   [[nodiscard]] bool concurrentKernels() const { return concurrent_; }
-  /// *Effective* recursion depth down to which kernels fork (0 in serial
-  /// mode).  The budget decrements once per recursion step, and with
-  /// skip-level edges a step descends to the next *materialized* level of
-  /// the operands — identity levels skipped by an edge cost no budget (and
-  /// spawn no tasks), so the cutoff compares against the remaining
-  /// materialized depth, not the raw qubit count.  See Config::parallelDepth.
+  /// *Effective* recursion depth down to which kernels fork: 0 in serial
+  /// mode, else ceil(log2(workers)) + 2, enough splits to feed every worker
+  /// with a few tasks to spare for stealing.  The budget decrements once per
+  /// recursion step, and with skip-level edges a step descends to the next
+  /// *materialized* level of the operands — identity levels skipped by an
+  /// edge cost no budget (and spawn no tasks), so the cutoff compares against
+  /// the remaining materialized depth, not the raw qubit count.
   [[nodiscard]] std::size_t parallelDepth() const { return parallelDepth_; }
   /// True iff identity levels are kept implicit (skip-level matrix edges,
   /// Config::skipIdentities).  False reproduces the legacy fully-materialized
@@ -263,8 +252,7 @@ public:
     GcReport report;
     report.liveBefore = allocatedNodes();
     clearCaches(); // O(1) epoch bumps — GC no longer pays a cache teardown
-    vUnique_.sweep([this](VNode* node) { vMem_.free(node); });
-    mUnique_.sweep([this](MNode* node) { mMem_.free(node); });
+    std::apply([](auto&... tables) { (tables.sweep(), ...); }, tables_);
     report.liveAfter = allocatedNodes();
     report.swept = report.liveBefore - report.liveAfter;
     report.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -299,20 +287,26 @@ public:
   [[nodiscard]] const GcReport& lastGcReport() const { return lastGcReport_; }
 
   /// Invalidate the selected operation caches (all of them by default),
-  /// driven by the static cache registry — each entry is an O(1) epoch bump.
+  /// driven by the cache registry forEachCache() — each is an O(1) epoch bump.
   void clearCaches(CacheKind kinds = CacheKind::All) {
-    for (const CacheRegistryEntry& entry : kCacheRegistry) {
-      if (contains(kinds, entry.kind)) {
-        entry.clear(*this);
+    forEachCache([kinds](CacheKind kind, auto& cache) {
+      if (contains(kinds, kind)) {
+        cache.clear();
       }
-    }
+    });
   }
 
   /// Number of live (allocated, not freed) nodes across both node types.
-  [[nodiscard]] std::size_t allocatedNodes() const { return vMem_.inUse() + mMem_.inUse(); }
+  [[nodiscard]] std::size_t allocatedNodes() const {
+    const auto& [vectors, matrices] = tables_;
+    return vectors.mem.inUse() + matrices.mem.inUse();
+  }
   [[nodiscard]] std::size_t peakNodes() const { return peakNodes_; }
   /// Node-arena capacity in bytes across both pools (O(1)).
-  [[nodiscard]] std::size_t arenaBytes() const { return vMem_.arenaBytes() + mMem_.arenaBytes(); }
+  [[nodiscard]] std::size_t arenaBytes() const {
+    const auto& [vectors, matrices] = tables_;
+    return vectors.mem.arenaBytes() + matrices.mem.arenaBytes();
+  }
 
   // -- telemetry ----------------------------------------------------------------
 
@@ -329,10 +323,11 @@ public:
     snapshot.liveNodes = allocatedNodes();
     snapshot.peakNodes = peakNodes_;
     snapshot.arenaBytes = arenaBytes();
-    snapshot.vUnique.entries = vUnique_.size();
-    snapshot.vUnique.buckets = vUnique_.bucketCount();
-    snapshot.mUnique.entries = mUnique_.size();
-    snapshot.mUnique.buckets = mUnique_.bucketCount();
+    const auto& [vectors, matrices] = tables_;
+    snapshot.vUnique.entries = vectors.unique.size();
+    snapshot.vUnique.buckets = vectors.unique.bucketCount();
+    snapshot.mUnique.entries = matrices.unique.size();
+    snapshot.mUnique.buckets = matrices.unique.bucketCount();
     system_.collectObs(snapshot.weights);
     return snapshot;
   }
@@ -345,8 +340,9 @@ public:
     sample.liveNodes = allocatedNodes();
     sample.peakNodes = peakNodes_;
     sample.arenaBytes = arenaBytes();
-    sample.uniqueEntries = vUnique_.size() + mUnique_.size();
-    sample.uniqueBuckets = vUnique_.bucketCount() + mUnique_.bucketCount();
+    const auto& [vectors, matrices] = tables_;
+    sample.uniqueEntries = vectors.unique.size() + matrices.unique.size();
+    sample.uniqueBuckets = vectors.unique.bucketCount() + matrices.unique.bucketCount();
     sample.uniqueCollisions =
         stats_.vUnique.collisions.value() + stats_.mUnique.collisions.value();
     sample.cacheHitRate = stats_.combinedCacheHitRate();
@@ -969,73 +965,41 @@ private:
     }
   };
 
-  // -- per-arity storage selection ----------------------------------------------
+  // -- per-arity tables ----------------------------------------------------------
 
-  template <class EdgeT> static constexpr bool kIsVector = EdgeT::Node::kBranching == 2;
+  /// Everything one node arity owns — its node arena, its unique table and
+  /// its add/multiply/Kronecker caches — plus the obs::PackageStats fields
+  /// those tables count into.  The package holds one bundle per arity in
+  /// tables_; each kernel selects its bundle once by node type.
+  template <class NodeT> struct ArityTables {
+    using EdgeT = typename NodeT::EdgeT;
+    static constexpr bool kVector = NodeT::kBranching == 2;
+    static constexpr auto kUniqueStats =
+        kVector ? &obs::PackageStats::vUnique : &obs::PackageStats::mUnique;
+    static constexpr auto kAddStats = kVector ? &obs::PackageStats::vAdd : &obs::PackageStats::mAdd;
+    /// Products *yielding* this arity: matrix-vector for vectors, matrix-matrix
+    /// for matrices.
+    static constexpr auto kMulStats = kVector ? &obs::PackageStats::mv : &obs::PackageStats::mm;
+    static constexpr auto kKronStats =
+        kVector ? &obs::PackageStats::vKron : &obs::PackageStats::mKron;
 
-  template <class EdgeT> [[nodiscard]] auto& uniqueFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return vUnique_;
-    } else {
-      return mUnique_;
+    MemoryManager<NodeT> mem;
+    UniqueTable<NodeT> unique;
+    ComputedTable<EdgeKey, EdgeT, kAddCacheEntries> addCache;
+    ComputedTable<NodePairKey, EdgeT, kMulCacheEntries> mulCache;
+    ComputedTable<NodePairKey, EdgeT, kKronCacheEntries> kronCache;
+
+    void setConcurrent(bool concurrent, std::size_t workers) {
+      unique.setConcurrent(concurrent);
+      if (concurrent) {
+        mem.setConcurrent(workers);
+      }
     }
-  }
-  template <class EdgeT> [[nodiscard]] auto& memFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return vMem_;
-    } else {
-      return mMem_;
+    /// GC sweep: unreferenced nodes leave the unique table for the free list.
+    void sweep() {
+      unique.sweep([this](NodeT* node) { mem.free(node); });
     }
-  }
-  template <class EdgeT> [[nodiscard]] obs::UniqueTableStats& uniqueStatsFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return stats_.vUnique;
-    } else {
-      return stats_.mUnique;
-    }
-  }
-  template <class EdgeT> [[nodiscard]] auto& addCacheFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return vAddCache_;
-    } else {
-      return mAddCache_;
-    }
-  }
-  template <class EdgeT> [[nodiscard]] obs::CacheStats& addStatsFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return stats_.vAdd;
-    } else {
-      return stats_.mAdd;
-    }
-  }
-  template <class EdgeT> [[nodiscard]] auto& mulCacheFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return mvCache_;
-    } else {
-      return mmCache_;
-    }
-  }
-  template <class EdgeT> [[nodiscard]] obs::CacheStats& mulStatsFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return stats_.mv;
-    } else {
-      return stats_.mm;
-    }
-  }
-  template <class EdgeT> [[nodiscard]] auto& kronCacheFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return vKronCache_;
-    } else {
-      return mKronCache_;
-    }
-  }
-  template <class EdgeT> [[nodiscard]] obs::CacheStats& kronStatsFor() {
-    if constexpr (kIsVector<EdgeT>) {
-      return stats_.vKron;
-    } else {
-      return stats_.mKron;
-    }
-  }
+  };
 
   // -- unified recursive algorithms ---------------------------------------------
 
@@ -1049,8 +1013,7 @@ private:
     ~KernelScope() {
       if (--pkg_.activeKernels_ == 0 && pkg_.concurrent_) {
         pkg_.peakNodes_ = std::max(pkg_.peakNodes_, pkg_.allocatedNodes());
-        pkg_.vUnique_.growIfPending();
-        pkg_.mUnique_.growIfPending();
+        std::apply([](auto&... tables) { (tables.unique.growIfPending(), ...); }, pkg_.tables_);
       }
     }
     KernelScope(const KernelScope&) = delete;
@@ -1114,8 +1077,9 @@ private:
     const EdgeT& x = ordered ? a : b;
     const EdgeT& y = ordered ? b : a;
     const EdgeKey key{x.node, x.w, y.node, y.w};
-    auto& cache = addCacheFor<EdgeT>();
-    obs::CacheStats& cacheStats = addStatsFor<EdgeT>();
+    using Tables = ArityTables<typename EdgeT::Node>;
+    auto& cache = std::get<Tables>(tables_).addCache;
+    obs::CacheStats& cacheStats = stats_.*Tables::kAddStats;
     EdgeT hit;
     if (cache.lookup(key, hit)) {
       cacheStats.hits.inc();
@@ -1198,8 +1162,9 @@ private:
     const Qubit entering = v.var;
     const Qubit core = std::min(m.node->var, levelOf(v));
     const NodePairKey key{m.node, v.node};
-    auto& cache = mulCacheFor<REdge>();
-    obs::CacheStats& cacheStats = mulStatsFor<REdge>();
+    using Tables = ArityTables<typename REdge::Node>;
+    auto& cache = std::get<Tables>(tables_).mulCache;
+    obs::CacheStats& cacheStats = stats_.*Tables::kMulStats;
     REdge hit;
     if (cache.lookup(key, hit)) {
       cacheStats.hits.inc();
@@ -1268,8 +1233,9 @@ private:
       }
     }
     const NodePairKey key{top.node, bottom.node};
-    auto& cache = kronCacheFor<EdgeT>();
-    obs::CacheStats& cacheStats = kronStatsFor<EdgeT>();
+    using Tables = ArityTables<typename EdgeT::Node>;
+    auto& cache = std::get<Tables>(tables_).kronCache;
+    obs::CacheStats& cacheStats = stats_.*Tables::kKronStats;
     EdgeT hit;
     if (cache.lookup(key, hit)) {
       cacheStats.hits.inc();
@@ -1418,8 +1384,10 @@ private:
       }
     }
 
-    auto& unique = uniqueFor<EdgeT>();
-    obs::UniqueTableStats& tableStats = uniqueStatsFor<EdgeT>();
+    using Tables = ArityTables<typename EdgeT::Node>;
+    Tables& tables = std::get<Tables>(tables_);
+    auto& unique = tables.unique;
+    obs::UniqueTableStats& tableStats = stats_.*Tables::kUniqueStats;
     const std::uint64_t contentHash = hashNodeContents(var, children);
     // In concurrent mode the whole find-or-insert sequence holds the bucket's
     // stripe lock, making the probe-then-link atomic per bucket; the guard is
@@ -1437,7 +1405,7 @@ private:
         tableStats.collisions.inc();
       }
     }
-    auto& mem = memFor<EdgeT>();
+    auto& mem = tables.mem;
     if (mem.available() > 0) {
       stats_.nodeReuses.inc();
     } else {
@@ -1537,40 +1505,27 @@ private:
   }
 
   // -- cache registry ------------------------------------------------------------
-  // The single source of truth mapping CacheKind bits to the table instances;
-  // clearCaches() iterates it instead of an if-chain per kind.
+  // The single source of truth mapping CacheKind bits to the table instances:
+  // calls f(kind, table) for each operation cache.
 
-  struct CacheRegistryEntry {
-    CacheKind kind;
-    void (*clear)(Package&);
-    void (*setLossless)(Package&, bool);
-    void (*setConcurrent)(Package&, bool);
-  };
-  template <auto MemberPtr> static constexpr CacheRegistryEntry registryEntry(CacheKind kind) {
-    return {kind, [](Package& p) { (p.*MemberPtr).clear(); },
-            [](Package& p, bool on) { (p.*MemberPtr).setLossless(on); },
-            [](Package& p, bool on) { (p.*MemberPtr).setConcurrent(on); }};
+  template <class F> void forEachCache(F&& f) {
+    auto& [vectors, matrices] = tables_;
+    f(CacheKind::VAdd, vectors.addCache);
+    f(CacheKind::MAdd, matrices.addCache);
+    f(CacheKind::MV, vectors.mulCache);
+    f(CacheKind::MM, matrices.mulCache);
+    f(CacheKind::VKron, vectors.kronCache);
+    f(CacheKind::MKron, matrices.kronCache);
+    f(CacheKind::Transpose, transposeCache_);
+    f(CacheKind::Inner, innerCache_);
+    f(CacheKind::Trace, traceCache_);
   }
-  static constexpr std::array<CacheRegistryEntry, 9> kCacheRegistry{{
-      registryEntry<&Package::vAddCache_>(CacheKind::VAdd),
-      registryEntry<&Package::mAddCache_>(CacheKind::MAdd),
-      registryEntry<&Package::mvCache_>(CacheKind::MV),
-      registryEntry<&Package::mmCache_>(CacheKind::MM),
-      registryEntry<&Package::vKronCache_>(CacheKind::VKron),
-      registryEntry<&Package::mKronCache_>(CacheKind::MKron),
-      registryEntry<&Package::transposeCache_>(CacheKind::Transpose),
-      registryEntry<&Package::innerCache_>(CacheKind::Inner),
-      registryEntry<&Package::traceCache_>(CacheKind::Trace),
-  }};
 
   Qubit nqubits_;
   System system_;
   obs::PackageStats stats_;
 
-  MemoryManager<VNode> vMem_;
-  MemoryManager<MNode> mMem_;
-  UniqueTable<VNode> vUnique_;
-  UniqueTable<MNode> mUnique_;
+  std::tuple<ArityTables<VNode>, ArityTables<MNode>> tables_;
   std::size_t peakNodes_ = 0;
   /// True while prune() rebuilds: per-insert peak samples are suppressed so
   /// the gauge keeps the same (end-of-rebuild) resolution in serial and
@@ -1583,7 +1538,6 @@ private:
   GcReport lastGcReport_{};
 
   exec::ThreadPool* executor_ = nullptr;     ///< kernel fork target (not owned)
-  std::size_t configParallelDepth_ = 0;      ///< Config::parallelDepth (0 = derive)
   std::size_t parallelDepth_ = 0;            ///< active fork cutoff (0 = serial)
   bool concurrent_ = false;                  ///< kernels run the parallel paths
   int activeKernels_ = 0;                    ///< KernelScope nesting depth
@@ -1591,12 +1545,6 @@ private:
 
   mutable std::uint64_t visitEpoch_ = 0; ///< current traversal generation
 
-  ComputedTable<EdgeKey, VEdge, kAddCacheEntries> vAddCache_;
-  ComputedTable<EdgeKey, MEdge, kAddCacheEntries> mAddCache_;
-  ComputedTable<NodePairKey, VEdge, kMulCacheEntries> mvCache_;
-  ComputedTable<NodePairKey, MEdge, kMulCacheEntries> mmCache_;
-  ComputedTable<NodePairKey, VEdge, kKronCacheEntries> vKronCache_;
-  ComputedTable<NodePairKey, MEdge, kKronCacheEntries> mKronCache_;
   ComputedTable<NodeKey, MEdge, kUnaryCacheEntries> transposeCache_;
   ComputedTable<NodePairKey, Weight, kInnerCacheEntries> innerCache_;
   ComputedTable<NodeKey, Weight, kUnaryCacheEntries> traceCache_;

@@ -28,11 +28,6 @@
 
 namespace qadd::eval {
 
-/// Deprecated alias, kept for one release: the sweep's unit of work is now
-/// eval::RunSpec (eval/trace.hpp), which adds the approximation axis.
-/// `{epsilon, extendedPrecision}` initializers keep compiling unchanged.
-using SweepPoint = RunSpec;
-
 /// How runSweep() obtains the exact algebraic run of the sweep.
 enum class ReferencePolicy {
   /// No algebraic run at all: no reference trajectory, error columns NaN
@@ -66,15 +61,6 @@ struct SweepSpec {
 
   dd::NumericSystem::Normalization normalization =
       dd::NumericSystem::Normalization::LeftmostNonzero;
-
-  /// Convenience: append a plain (double-precision, exact-structure) point
-  /// per ε.
-  SweepSpec& addEpsilons(std::initializer_list<double> epsilons) {
-    for (const double epsilon : epsilons) {
-      points.push_back({epsilon, false});
-    }
-    return *this;
-  }
 
   /// Append one fully specified run.
   SweepSpec& addRun(const RunSpec& run) {

@@ -38,8 +38,7 @@ struct TracePoint {
 /// evaluation in one value: ε (the numeric tolerance knob), the mantissa
 /// width (double vs long double), and the fidelity-bounded approximation
 /// spec (dd::ApproxSpec — {} means exact-structure simulation, the historic
-/// behaviour).  Field order keeps `{epsilon, extendedPrecision}` aggregate
-/// initializers source-compatible with the deprecated SweepPoint.
+/// behaviour).
 struct RunSpec {
   /// Numeric-table tolerance (0 = bit-exact interning).
   double epsilon = 0.0;

@@ -159,7 +159,7 @@ struct WeightTableStats {
   /// (process-wide, see src/algebraic/small_kernels.hpp): ring operations
   /// served entirely by the int64/int128 word kernels vs operations that
   /// probed the fast path and fell back to BigInt.  Zero for the numeric
-  /// system and in QADD_BIGINT_SSO=0 builds.
+  /// system.
   std::uint64_t smallPathHits = 0;
   std::uint64_t smallPathSpills = 0;
 

@@ -25,7 +25,6 @@
 #include <cmath>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <complex>
 #include <memory>
 #include <sstream>
@@ -224,7 +223,9 @@ eval::SweepSpec approxSweep() {
   sweep.options.sampleEvery = 7;
   sweep.options.captureFinalState = true;
   sweep.reference = eval::ReferencePolicy::Inline;
-  sweep.addEpsilons({0.0, 1e-10, 1e-5});
+  for (const double epsilon : {0.0, 1e-10, 1e-5}) {
+    sweep.addRun({epsilon});
+  }
   sweep.applyApprox({0.1, dd::ApproxPolicy::PerGate});
   return sweep;
 }
@@ -259,12 +260,14 @@ TEST(ApproxSweep, DeterministicAcrossJobs) {
 }
 
 TEST(ApproxSweep, InactiveSpecLeavesLegacyBehaviorIntact) {
-  // RunSpec with a default ApproxSpec must reproduce the historic SweepPoint
+  // RunSpec with a default ApproxSpec must reproduce the pre-approximation
   // behavior bit for bit: same labels, fidelity pinned at 1, no pruning.
   eval::SweepSpec sweep(algos::grover({5, (1ULL << 5) - 2, 0}));
   sweep.options.sampleEvery = 7;
   sweep.reference = eval::ReferencePolicy::None;
-  sweep.addEpsilons({0.0, 1e-5});
+  for (const double epsilon : {0.0, 1e-5}) {
+    sweep.addRun({epsilon});
+  }
   sweep.applyApprox({}); // inactive: a no-op by contract
   const eval::SweepResult result = eval::runSweep(sweep, nullptr);
   ASSERT_EQ(result.traces.size(), 2U);
@@ -274,11 +277,9 @@ TEST(ApproxSweep, InactiveSpecLeavesLegacyBehaviorIntact) {
     EXPECT_EQ(trace.finalFidelity, 1.0);
     EXPECT_EQ(trace.prunedNodes, 0U);
   }
-  // The deprecated alias stays source-compatible.
-  const eval::SweepPoint legacy{1e-3, false};
-  static_assert(std::is_same_v<eval::SweepPoint, eval::RunSpec>);
-  EXPECT_EQ(legacy.epsilon, 1e-3);
-  EXPECT_FALSE(legacy.approx.active());
+  // A two-field initializer leaves the approximation axis off.
+  const eval::RunSpec plain{1e-3, false};
+  EXPECT_FALSE(plain.approx.active());
 }
 
 TEST(ApproxSweep, CsvCarriesFidelityColumns) {

@@ -416,14 +416,12 @@ TEST(BigIntBoundary, JustOutsideInt64DoesNotFit) {
 }
 
 TEST(BigIntBoundary, InlineStorageCoversTwoLimbs) {
-  // With QADD_BIGINT_SSO on, every <= 64-bit magnitude lives inline; the
-  // first 65-bit magnitude spills to the heap.  With SSO off isInline() is
-  // always false and only the value-level assertions apply.
+  // Every <= 64-bit magnitude lives inline; the first 65-bit magnitude
+  // spills to the heap.
   const BigInt small{42};
   const BigInt oneLimb{std::int64_t{0x7FFFFFFF}};
   const BigInt twoLimbs = pow2(64) - BigInt{1};
   const BigInt threeLimbs = pow2(64);
-#if QADD_BIGINT_SSO
   EXPECT_TRUE(BigInt{0}.isInline());
   EXPECT_TRUE(small.isInline());
   EXPECT_TRUE(oneLimb.isInline());
@@ -434,10 +432,6 @@ TEST(BigIntBoundary, InlineStorageCoversTwoLimbs) {
   // (re-inlining is not required, only value equality).
   const BigInt shrunk = threeLimbs - pow2(64) + BigInt{7};
   EXPECT_EQ(shrunk.toInt64(), 7);
-#else
-  EXPECT_FALSE(small.isInline());
-  EXPECT_FALSE(twoLimbs.isInline());
-#endif
   EXPECT_EQ(threeLimbs.bitLength(), 65U);
   EXPECT_EQ(twoLimbs.bitLength(), 64U);
 }

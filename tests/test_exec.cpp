@@ -409,7 +409,9 @@ eval::SweepSpec groverSweep() {
   sweep.options.sampleEvery = 7;
   sweep.options.captureFinalState = true;
   sweep.reference = eval::ReferencePolicy::Inline;
-  sweep.addEpsilons({0.0, 1e-10, 1e-5, 1e-3});
+  for (const double epsilon : {0.0, 1e-10, 1e-5, 1e-3}) {
+    sweep.addRun({epsilon});
+  }
   return sweep;
 }
 

@@ -179,8 +179,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSnapshotRoundTrip, ::testing::Range(0, 16));
 /// results must be bit-identical.  Operand magnitudes sweep across the kernel
 /// bit bounds (62-bit add/mul, 30-bit Euclidean/quotient loads) so both the
 /// engaged-kernel and the overflow-detected spill branches are exercised.
-/// With QADD_BIGINT_SSO=0 the toggle is inert and both runs take the spill
-/// path; the assertions then degenerate to determinism checks.
 class FastPathGuard {
 public:
   explicit FastPathGuard(bool enabled) : previous_(detail::setSmallFastPaths(enabled)) {}

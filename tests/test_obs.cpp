@@ -1,8 +1,9 @@
 /// \file test_obs.cpp
 /// Tests of the qadd::obs telemetry layer: operation-cache counters,
 /// near-miss unification tracking in the ε-table, node gauges, the GC
-/// report, per-kind cache clearing, the bit-width histogram of the
-/// algebraic intern pool, and the Chrome-trace span tracer.
+/// report, per-kind cache clearing, per-arity routing of the package's
+/// tables to their counters, the bit-width histogram of the algebraic
+/// intern pool, and the Chrome-trace span tracer.
 #include "algorithms/common.hpp"
 #include "core/algebraic_system.hpp"
 #include "core/numeric_system.hpp"
@@ -18,9 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -224,6 +230,140 @@ TEST(CacheKind, PerKindClearOnlyDropsSelectedCache) {
   (void)package.multiply(gate, state);
   EXPECT_GT(package.counters().mv.misses.value(), missesAfterDoubleClear)
       << "stale-epoch entry served as a hit after clearing";
+}
+
+/// One public kernel, the operation cache it must route through (its
+/// PackageStats::caches() name and CacheKind) and the unique table whose
+/// counters it may move (none for the weight-valued inner/trace kernels).
+struct RoutedKernel {
+  std::string_view cache;
+  dd::CacheKind kind;
+  enum class Unique { Vector, Matrix, None } unique;
+  std::function<void()> run;
+};
+
+/// Every kernel with an operation cache, on 3-qubit operands chosen so that
+/// no kernel reaches a second cache: the multiply operands make one of the
+/// two partial products zero at every level (so the add inside the product
+/// short-circuits before its cache), and the Kronecker operands span disjoint
+/// levels.
+std::vector<RoutedKernel> routedKernels(NumericPackage& package) {
+  const auto gate = [&package](qc::GateKind kind, qc::Qubit target) {
+    return qc::makeOperationDD(package, qc::Operation{kind, 0.0, target, {}});
+  };
+  const auto basis = [&package](bool bit) {
+    const std::array<bool, 3> bits{bit, bit, bit};
+    return package.makeBasisState(bits);
+  };
+  const NumericPackage::VEdge zeros = basis(false);
+  const NumericPackage::VEdge ones = basis(true);
+  const NumericPackage::MEdge h0 = gate(qc::GateKind::H, 0);
+  const NumericPackage::MEdge x1 = gate(qc::GateKind::X, 1);
+  const NumericPackage::MEdge z0 = gate(qc::GateKind::Z, 0);
+  const NumericPackage::VEdge one{nullptr, package.system().one()};
+  const NumericPackage::VEdge vTop = package.makeVNode(0, {one, package.zeroVector()});
+  NumericPackage::VEdge vBottom =
+      package.makeVNode(1, {package.makeVNode(2, {one, package.zeroVector()}),
+                            package.zeroVector()});
+  vBottom.var = 1;
+  NumericPackage::MEdge mBottom = x1;
+  mBottom.var = 1;
+  using U = RoutedKernel::Unique;
+  return {
+      {"vAdd", dd::CacheKind::VAdd, U::Vector, [&package, zeros, ones] {
+         (void)package.add(zeros, ones);
+       }},
+      {"mAdd", dd::CacheKind::MAdd, U::Matrix, [&package, h0, x1] {
+         (void)package.add(h0, x1);
+       }},
+      {"mv", dd::CacheKind::MV, U::Vector, [&package, h0, zeros] {
+         (void)package.multiply(h0, zeros);
+       }},
+      {"mm", dd::CacheKind::MM, U::Matrix, [&package, z0, h0] {
+         (void)package.multiply(z0, h0);
+       }},
+      {"vKron", dd::CacheKind::VKron, U::Vector, [&package, vTop, vBottom] {
+         (void)package.kronecker(vTop, vBottom);
+       }},
+      {"mKron", dd::CacheKind::MKron, U::Matrix, [&package, h0, mBottom] {
+         (void)package.kronecker(h0, mBottom);
+       }},
+      {"transpose", dd::CacheKind::Transpose, U::Matrix, [&package, h0] {
+         (void)package.conjugateTranspose(h0);
+       }},
+      {"inner", dd::CacheKind::Inner, U::None, [&package, zeros, ones] {
+         (void)package.innerProduct(zeros, ones);
+       }},
+      {"trace", dd::CacheKind::Trace, U::None, [&package, h0] { (void)package.trace(h0); }},
+  };
+}
+
+std::uint64_t cacheCount(const obs::PackageStats& stats, std::string_view name, bool missesOnly) {
+  for (const auto& [cacheName, cache] : stats.caches()) {
+    if (cacheName == name) {
+      return missesOnly ? cache->misses.value() : cache->lookups() + cache->evictions.value();
+    }
+  }
+  ADD_FAILURE() << "no cache named " << name;
+  return 0;
+}
+
+TEST(ArityRouting, EachKernelMovesOnlyItsOwnTables) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "built with QADD_OBS=0";
+  }
+  NumericPackage package(3, tightConfig());
+  for (const RoutedKernel& kernel : routedKernels(package)) {
+    SCOPED_TRACE(std::string(kernel.cache));
+    const obs::PackageStats before = package.counters();
+    kernel.run();
+    const obs::PackageStats after = package.counters();
+    for (const auto& [name, cache] : before.caches()) {
+      if (name == kernel.cache) {
+        EXPECT_GT(cacheCount(after, name, true), cache->misses.value()) << name;
+      } else {
+        EXPECT_EQ(cacheCount(after, name, false), cacheCount(before, name, false))
+            << name << " moved";
+      }
+    }
+    const auto uniqueMoved = [](const obs::UniqueTableStats& a, const obs::UniqueTableStats& b) {
+      return a.lookups.value() != b.lookups.value() || a.hits.value() != b.hits.value() ||
+             a.collisions.value() != b.collisions.value();
+    };
+    EXPECT_EQ(uniqueMoved(before.vUnique, after.vUnique),
+              kernel.unique == RoutedKernel::Unique::Vector);
+    EXPECT_EQ(uniqueMoved(before.mUnique, after.mUnique),
+              kernel.unique == RoutedKernel::Unique::Matrix);
+  }
+}
+
+TEST(ArityRouting, ClearingOneKindForcesMissesOnlyThere) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "built with QADD_OBS=0";
+  }
+  NumericPackage package(3, tightConfig());
+  const std::vector<RoutedKernel> kernels = routedKernels(package);
+  const auto runAll = [&kernels] {
+    for (const RoutedKernel& kernel : kernels) {
+      kernel.run();
+    }
+  };
+  runAll(); // warm every cache
+  for (const RoutedKernel& cleared : kernels) {
+    SCOPED_TRACE(std::string(cleared.cache));
+    package.clearCaches(cleared.kind);
+    const obs::PackageStats before = package.counters();
+    runAll();
+    const obs::PackageStats after = package.counters();
+    for (const RoutedKernel& kernel : kernels) {
+      const std::uint64_t misses = cacheCount(after, kernel.cache, true);
+      if (kernel.kind == cleared.kind) {
+        EXPECT_GT(misses, cacheCount(before, kernel.cache, true)) << kernel.cache;
+      } else {
+        EXPECT_EQ(misses, cacheCount(before, kernel.cache, true)) << kernel.cache;
+      }
+    }
+  }
 }
 
 TEST(Tracer, SpansNestAndJsonIsWellFormed) {

@@ -61,18 +61,12 @@ TEST(ParallelKernels, ParallelDepthDerivesFromWorkerCount) {
   package.setExecutor(&four);
   // ceil(log2(workers)) + 2 levels of binary forking.
   EXPECT_EQ(package.parallelDepth(), 4U);
+  exec::ThreadPool two(2);
+  package.setExecutor(&two);
+  EXPECT_EQ(package.parallelDepth(), 3U);
   package.setExecutor(nullptr);
   EXPECT_FALSE(package.concurrentKernels());
   EXPECT_EQ(package.parallelDepth(), 0U);
-}
-
-TEST(ParallelKernels, ConfigParallelDepthOverridesDerivation) {
-  dd::AlgebraicSystem::Config config;
-  config.parallelDepth = 7;
-  dd::Package<dd::AlgebraicSystem> package(3, config);
-  exec::ThreadPool pool(2);
-  package.setExecutor(&pool);
-  EXPECT_EQ(package.parallelDepth(), 7U);
 }
 
 // -- determinism contract -------------------------------------------------------
@@ -136,7 +130,7 @@ TEST(ParallelKernels, PeakNodesGaugeMatchesSerial) {
 
 TEST(ParallelKernels, KroneckerMatchesSerial) {
   // A four-level top DD kron a four-level bottom DD: deep enough that the
-  // fork path engages (parallelDepth = 4 at four workers), and the serial
+  // fork path engages (parallelDepth() is 4 at four workers), and the serial
   // and parallel products must serialize identically.
   auto build = [](exec::ThreadPool* pool) {
     using Pkg = dd::Package<dd::AlgebraicSystem>;
