@@ -5,7 +5,9 @@
 /// code path) and once on a worker pool, and writes BENCH_exec.json with the
 /// wall-clock of both plus the speedup.  The per-trace value series are
 /// checked identical between the two runs before the report is written, so
-/// the speedup is never bought with a divergent result.
+/// the speedup is never bought with a divergent result.  With at least 4
+/// workers on a host with at least 4 hardware threads the run fails below a
+/// 1.8x speedup; the outcome is reported as `speedupGatePassed` either way.
 ///
 ///   ./exec_sweep [nqubits] [--jobs N] [--help]
 ///                             (default: 9 qubits, QADD_JOBS/hardware jobs)
@@ -17,11 +19,15 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 namespace {
 
 using namespace qadd;
+
+/// Minimum speedup of the 4-worker sweep over the serial one.
+constexpr double kSpeedupGate = 1.8;
 
 /// The value columns of one trace (everything writeCsv emits except the
 /// wall-clock `seconds` and the address-sensitive `cachehitrate`).
@@ -80,16 +86,26 @@ int main(int argc, char** argv) {
   std::cout << std::fixed << std::setprecision(3) << "jobs=1: " << serial.numericSweepSeconds
             << " s\njobs=" << cli.jobs << ": " << parallel.numericSweepSeconds << " s\nspeedup: "
             << std::setprecision(2) << speedup << "x (value series identical)\n";
+  const bool speedupGatePassed = speedup >= kSpeedupGate;
 
   std::ofstream os("BENCH_exec.json");
   os << std::setprecision(6) << std::fixed;
   os << "{\n  \"bench\": \"exec_sweep\",\n  \"workload\": \"fig3 numeric epsilon sweep\",\n"
      << "  \"qubits\": " << nqubits << ",\n  \"gates\": " << circuit.size()
      << ",\n  \"epsilonRuns\": " << sweep.points.size() << ",\n  \"workers\": " << cli.jobs
+     << ",\n  \"speedupGatePassed\": " << (speedupGatePassed ? "true" : "false")
      << ",\n  \"series\": {\n    \"numericSweep\": {\n      \"jobs1Seconds\": "
      << serial.numericSweepSeconds << ",\n      \"jobsNSeconds\": " << parallel.numericSweepSeconds
      << ",\n      \"speedup\": " << speedup << ",\n      \"identicalValueSeries\": true\n    }\n"
      << "  }\n}\n";
   std::cout << "report written to BENCH_exec.json\n";
+
+  const unsigned hardware = std::thread::hardware_concurrency();
+  if (cli.jobs >= 4 && hardware >= 4 && !speedupGatePassed) {
+    std::cerr << "FAIL: " << cli.jobs << "-worker sweep speedup " << std::setprecision(2)
+              << speedup << "x is below the " << kSpeedupGate << "x gate (" << hardware
+              << " hardware threads)\n";
+    return 1;
+  }
   return 0;
 }

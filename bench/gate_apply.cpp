@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
 
   // Speedup gate: the best single-qubit family at n = 64 must clear 2x
   // (min-of-reps already filters scheduler noise; best-of-families filters
-  // the rest, the same pattern as the parallel_kernels gate).  Node gate:
+  // the rest).  Node gate:
   // every family must allocate at least 4x fewer matrix nodes — that ratio
   // is structural and machine-independent.
   double bestSingleQubitSpeedup = 0.0;

@@ -1,5 +1,6 @@
 #include "core/algebraic_system.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -17,21 +18,11 @@ AlgebraicSystem::AlgebraicSystem(Config config) : config_(config) {
 }
 
 AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) {
-  // Concurrent mode serializes the whole find-or-insert on one mutex;
-  // value(w) readers never take it (entries_ is a StableVector).  Exact
-  // interning means the interleaving can only reorder handle numbers within
-  // a run, never change which values exist.
-  std::unique_lock<std::mutex> lock(internMutex_, std::defer_lock);
-  if (concurrent_) {
-    lock.lock();
-  }
   const auto [it, inserted] = pool_.try_emplace(value, static_cast<Weight>(entries_.size()));
   if (inserted) {
     entries_.push_back(&it->first);
     const std::size_t bits = value.maxBits();
-    if (bits > maxBits_.load(std::memory_order_relaxed)) {
-      maxBits_.store(bits, std::memory_order_relaxed);
-    }
+    maxBits_ = std::max(maxBits_, bits);
     if constexpr (obs::kEnabled) {
       if (bitWidthHistogram_.size() <= bits) {
         bitWidthHistogram_.resize(bits + 1, 0);
@@ -183,12 +174,8 @@ AlgebraicSystem::Weight AlgebraicSystem::normalize(std::span<Weight> weights) {
       ++trivial;
     }
   }
-  // Relaxed load+store: serial-identical codegen, lossy-but-race-free under
-  // concurrent normalization (telemetry only — never a figure value column).
-  weightsProduced_.store(weightsProduced_.load(std::memory_order_relaxed) + weights.size(),
-                         std::memory_order_relaxed);
-  trivialWeightsProduced_.store(trivialWeightsProduced_.load(std::memory_order_relaxed) + trivial,
-                                std::memory_order_relaxed);
+  weightsProduced_ += weights.size();
+  trivialWeightsProduced_ += trivial;
   return factor;
 }
 

@@ -9,26 +9,11 @@
 /// This replaces the former per-node-type std::deque pools: one template,
 /// both node arities, no per-element deque bookkeeping, and O(1)
 /// allocate/free with zero heap traffic outside chunk growth.
-///
-/// Concurrent mode (setConcurrent): the parallel fork-join kernels allocate
-/// nodes from every worker, so each participating thread owns a *slot* (the
-/// external caller is slot 0, pool worker i is slot i+1 — exec::workerSlot())
-/// holding a private bump span plus a private free-list cache.  Slots refill
-/// in batches of kSpanSize nodes from the shared chunks / shared free list
-/// under one mutex, so the per-allocation fast path touches only slot-local
-/// state — contention is one mutex acquisition per kSpanSize allocations.
-/// Nodes are only ever *freed* at quiescent points (the GC sweep is
-/// stop-the-world), so free() needs no concurrent path.  The serial get()
-/// and free() are byte-for-byte the pre-concurrency behavior: LIFO free-list
-/// reuse, bump allocation, identical chunk growth.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace qadd::dd {
@@ -40,8 +25,6 @@ public:
   /// overshoot the working set by more than 50%.
   static constexpr std::size_t kGrowthNumerator = 3;
   static constexpr std::size_t kGrowthDenominator = 2;
-  /// Nodes handed to a worker slot per shared-state refill.
-  static constexpr std::size_t kSpanSize = 256;
 
   explicit MemoryManager(std::size_t initialChunkSize = kDefaultInitialChunkSize)
       : nextChunkSize_(initialChunkSize == 0 ? 1 : initialChunkSize) {}
@@ -51,183 +34,60 @@ public:
 
   /// Hand out a node: from the free list if one is available (its previous
   /// contents are stale — the caller reinitializes every field), otherwise
-  /// bump-allocated from the current chunk.  Serial path only.
+  /// bump-allocated from the current chunk.
   [[nodiscard]] NodeT* get() {
     if (freeList_ != nullptr) {
       NodeT* node = freeList_;
       freeList_ = node->next;
       node->next = nullptr;
-      freeCount_.store(freeCount() - 1, std::memory_order_relaxed);
+      --freeCount_;
       return node;
     }
     if (chunkUsed_ == chunkCapacity_) {
       grow();
     }
-    bumpAllocated_.store(bumpAllocated() + 1, std::memory_order_relaxed);
+    ++bumpAllocated_;
     return &chunks_.back()[chunkUsed_++];
   }
 
-  /// Concurrent-mode allocation from the calling thread's slot.  The caller
-  /// passes its exec::workerSlot(); distinct concurrent callers always carry
-  /// distinct slots (see exec/thread_pool.hpp).
-  [[nodiscard]] NodeT* get(std::size_t slot) {
-    assert(slot < slotCount_ && "worker slot outside the configured pool");
-    Slot& local = slots_[slot];
-    if (local.cachedFree != nullptr) {
-      NodeT* node = local.cachedFree;
-      local.cachedFree = node->next;
-      node->next = nullptr;
-      local.takeReserved();
-      return node;
-    }
-    if (local.spanNext == local.spanEnd) {
-      refill(local);
-      if (local.cachedFree != nullptr) {
-        NodeT* node = local.cachedFree;
-        local.cachedFree = node->next;
-        node->next = nullptr;
-        local.takeReserved();
-        return node;
-      }
-    }
-    local.takeReserved();
-    return local.spanNext++;
-  }
-
   /// Return a node to the free list.  The node must have come from get() and
-  /// must no longer be referenced anywhere.  Quiescent-point only (GC sweep).
+  /// must no longer be referenced anywhere.
   void free(NodeT* node) {
     assert(node != nullptr);
     node->next = freeList_;
     freeList_ = node;
-    freeCount_.store(freeCount() + 1, std::memory_order_relaxed);
+    ++freeCount_;
   }
 
-  /// Configure `workerSlots + 1` allocation slots (slot 0 is the external
-  /// caller thread).  Quiescent-point only; `0` returns to pure serial mode
-  /// (already-carved spans stay owned by their slots and are still consumed
-  /// by concurrent get(slot) calls if mode is re-enabled later).
-  void setConcurrent(std::size_t workerSlots) {
-    if (workerSlots == 0) {
-      return; // serial get() keeps working regardless; nothing to size
-    }
-    const std::size_t wanted = workerSlots + 1;
-    if (wanted > slotCount_) {
-      auto grown = std::make_unique<Slot[]>(wanted);
-      for (std::size_t i = 0; i < slotCount_; ++i) {
-        grown[i] = slots_[i];
-      }
-      slots_ = std::move(grown);
-      slotCount_ = wanted;
-    }
-  }
-
-  /// Nodes currently handed out (allocated and not freed).  Exact in both
-  /// modes: nodes a slot has reserved (claimed span remainder + free-list
-  /// cache) but not yet handed out are subtracted back out, so the gauge is
-  /// byte-identical to a serial run at every quiescent point — `peaknodes`
-  /// is a figure value column and must not move with worker count.
-  [[nodiscard]] std::size_t inUse() const {
-    std::size_t reserved = 0;
-    for (std::size_t i = 0; i < slotCount_; ++i) {
-      reserved += slots_[i].reservedCount();
-    }
-    return bumpAllocated() - freeCount() - reserved;
-  }
-  /// Nodes waiting on the shared free list.
-  [[nodiscard]] std::size_t available() const { return freeCount(); }
+  /// Nodes currently handed out (allocated and not freed).
+  [[nodiscard]] std::size_t inUse() const { return bumpAllocated_ - freeCount_; }
+  /// Nodes waiting on the free list.
+  [[nodiscard]] std::size_t available() const { return freeCount_; }
   /// Nodes ever bump-allocated from chunks (freed or not).
-  [[nodiscard]] std::size_t allocatedTotal() const { return bumpAllocated(); }
+  [[nodiscard]] std::size_t allocatedTotal() const { return bumpAllocated_; }
   /// Number of chunks backing the arena.
   [[nodiscard]] std::size_t chunkCount() const { return chunks_.size(); }
   /// Total arena capacity in bytes (all chunks, used or not) — the memory
-  /// footprint gauge of the timeline sampler.  Safe to read concurrently.
-  [[nodiscard]] std::size_t arenaBytes() const {
-    return capacityTotal_.load(std::memory_order_relaxed) * sizeof(NodeT);
-  }
+  /// footprint gauge of the timeline sampler.
+  [[nodiscard]] std::size_t arenaBytes() const { return capacityTotal_ * sizeof(NodeT); }
 
 private:
-  /// Per-thread allocation state; padded so two slots never share a line.
-  struct alignas(64) Slot {
-    NodeT* spanNext = nullptr;
-    NodeT* spanEnd = nullptr;
-    NodeT* cachedFree = nullptr; ///< batch popped from the shared free list
-    /// Nodes this slot holds but has not handed out yet (span remainder +
-    /// cachedFree length).  Written only by the owning thread; other threads
-    /// read it through an atomic_ref when summing inUse(), so the plain
-    /// member stays copyable for setConcurrent's quiescent regrow.
-    std::size_t reserved = 0;
-
-    void takeReserved() {
-      std::atomic_ref<std::size_t> ref(reserved);
-      ref.store(ref.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
-    }
-    void addReserved(std::size_t count) {
-      std::atomic_ref<std::size_t> ref(reserved);
-      ref.store(ref.load(std::memory_order_relaxed) + count, std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::size_t reservedCount() const {
-      return std::atomic_ref<const std::size_t>(reserved).load(std::memory_order_relaxed);
-    }
-  };
-
   void grow() {
     chunks_.push_back(std::make_unique<NodeT[]>(nextChunkSize_));
     chunkCapacity_ = nextChunkSize_;
-    capacityTotal_.store(capacityTotal_.load(std::memory_order_relaxed) + nextChunkSize_,
-                         std::memory_order_relaxed);
+    capacityTotal_ += nextChunkSize_;
     chunkUsed_ = 0;
     nextChunkSize_ = nextChunkSize_ * kGrowthNumerator / kGrowthDenominator;
-  }
-
-  /// Grab the next batch of nodes for `local` from the shared state.  Lock
-  /// order: callers may hold a unique-table stripe mutex; nothing is locked
-  /// beyond mutex_ here, so stripe -> refill never inverts.
-  void refill(Slot& local) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    // Recycle GC'd nodes first, like the serial path does.
-    std::size_t taken = 0;
-    while (freeList_ != nullptr && taken < kSpanSize) {
-      NodeT* node = freeList_;
-      freeList_ = node->next;
-      node->next = local.cachedFree;
-      local.cachedFree = node;
-      ++taken;
-    }
-    if (taken != 0) {
-      freeCount_.store(freeCount() - taken, std::memory_order_relaxed);
-      local.addReserved(taken);
-      return;
-    }
-    if (chunkUsed_ == chunkCapacity_) {
-      grow();
-    }
-    const std::size_t count = std::min(kSpanSize, chunkCapacity_ - chunkUsed_);
-    local.spanNext = &chunks_.back()[chunkUsed_];
-    local.spanEnd = local.spanNext + count;
-    chunkUsed_ += count;
-    bumpAllocated_.store(bumpAllocated() + count, std::memory_order_relaxed);
-    local.addReserved(count);
-  }
-
-  [[nodiscard]] std::size_t freeCount() const {
-    return freeCount_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t bumpAllocated() const {
-    return bumpAllocated_.load(std::memory_order_relaxed);
   }
 
   std::vector<std::unique_ptr<NodeT[]>> chunks_;
   std::size_t chunkUsed_ = 0;     ///< bump index into the current chunk
   std::size_t chunkCapacity_ = 0; ///< size of the current chunk
-  std::atomic<std::size_t> capacityTotal_{0}; ///< summed size of all chunks
+  std::size_t capacityTotal_ = 0; ///< summed size of all chunks
   std::size_t nextChunkSize_;
   NodeT* freeList_ = nullptr;
-  std::atomic<std::size_t> freeCount_{0};
-  std::atomic<std::size_t> bumpAllocated_{0};
-  std::mutex mutex_;                ///< guards shared refills in concurrent mode
-  std::unique_ptr<Slot[]> slots_;   ///< per-thread spans (concurrent mode)
-  std::size_t slotCount_ = 0;
+  std::size_t freeCount_ = 0;
+  std::size_t bumpAllocated_ = 0;
 };
 
 } // namespace qadd::dd

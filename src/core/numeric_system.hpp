@@ -158,18 +158,6 @@ public:
   /// case so a result, once computed, is never recomputed.
   [[nodiscard]] bool memoizationOrderDependent() const { return !table_.exactMode(); }
 
-  /// Switch the interning table and the op caches between serial and
-  /// concurrent operation (quiescent-point only).  The package only requests
-  /// concurrency when memoization is order-independent, i.e. exact mode.
-  void setConcurrent(bool concurrent) {
-    assert(!concurrent || table_.exactMode());
-    table_.setConcurrent(concurrent);
-    addCache_.setConcurrent(concurrent);
-    subCache_.setConcurrent(concurrent);
-    mulCache_.setConcurrent(concurrent);
-    divCache_.setConcurrent(concurrent);
-  }
-
   [[nodiscard]] std::size_t distinctValues() const { return table_.size(); }
   /// Interface parity with AlgebraicSystem for the timeline sampler: the
   /// numeric table never touches the algebraic word kernels.

@@ -35,16 +35,9 @@
 /// decRef() when the live node count crosses the configured watermark
 /// (System::Config::gcWatermark, 0 = only on demand).
 ///
-/// Intra-operation parallelism (see docs/PARALLELISM.md): setExecutor()
-/// attaches an exec::ThreadPool and — when the weight system's memoization
-/// is order-independent (algebraic, or numeric in exact mode) — switches the
-/// package into concurrent mode: add/multiply/kronecker fork their child
-/// subproblems onto the pool down to a depth cutoff (ceil(log2(workers)) + 2
-/// effective levels, see parallelDepth()), the unique tables take stripe locks
-/// around find-or-insert, the operation caches publish entries through
-/// per-slot seqlocks, and the arenas hand out per-worker spans.  With no
-/// executor (or a 1-worker pool, or an order-dependent system) every one of
-/// those paths collapses to the exact pre-concurrency serial code.
+/// A package is thread-confined: parallelism lives one level up, where
+/// independent packages run side by side (sweep points, serve sessions; see
+/// docs/PARALLELISM.md).
 #pragma once
 
 #include "algebraic/qomega.hpp" // exact amplitude accumulation (algebraic system)
@@ -59,8 +52,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -150,41 +141,11 @@ public:
   [[nodiscard]] System& system() { return system_; }
   [[nodiscard]] const System& system() const { return system_; }
 
-  // -- intra-operation parallelism ----------------------------------------------
+  /// No-op, kept only for perfbench/; goes with the next benchmark change.
+  void setExecutor(exec::ThreadPool* /*pool*/) {}
+  /// Always false, kept only for perfbench/; goes with the next benchmark change.
+  [[nodiscard]] bool concurrentKernels() const { return false; }
 
-  /// Attach (or detach, with nullptr) the thread pool the DD kernels fork
-  /// onto.  Concurrent mode engages only when the pool has more than one
-  /// worker AND the weight system's memoization is order-independent —
-  /// tolerance-mode numeric interning stays serial so its lossless-cache
-  /// determinism contract is untouched.  Quiescent-point only (never while a
-  /// kernel is running); a package binds to at most one pool at a time.
-  void setExecutor(exec::ThreadPool* pool) {
-    assert(activeKernels_ == 0 && "setExecutor during a running kernel");
-    executor_ = pool;
-    const std::size_t workers = pool != nullptr ? pool->workers() : 0;
-    const bool wantConcurrent = workers > 1 && !system_.memoizationOrderDependent();
-    if (wantConcurrent == concurrent_ && !wantConcurrent) {
-      return;
-    }
-    concurrent_ = wantConcurrent;
-    parallelDepth_ = concurrent_ ? static_cast<std::size_t>(std::bit_width(workers - 1)) + 2 : 0;
-    std::apply(
-        [this, workers](auto&... tables) { (tables.setConcurrent(concurrent_, workers), ...); },
-        tables_);
-    forEachCache([this](CacheKind, auto& cache) { cache.setConcurrent(concurrent_); });
-    system_.setConcurrent(concurrent_);
-  }
-  [[nodiscard]] exec::ThreadPool* executor() const { return executor_; }
-  /// True iff the kernels currently run the forked, striped, seqlocked paths.
-  [[nodiscard]] bool concurrentKernels() const { return concurrent_; }
-  /// *Effective* recursion depth down to which kernels fork: 0 in serial
-  /// mode, else ceil(log2(workers)) + 2, enough splits to feed every worker
-  /// with a few tasks to spare for stealing.  The budget decrements once per
-  /// recursion step, and with skip-level edges a step descends to the next
-  /// *materialized* level of the operands — identity levels skipped by an
-  /// edge cost no budget (and spawn no tasks), so the cutoff compares against
-  /// the remaining materialized depth, not the raw qubit count.
-  [[nodiscard]] std::size_t parallelDepth() const { return parallelDepth_; }
   /// True iff identity levels are kept implicit (skip-level matrix edges,
   /// Config::skipIdentities).  False reproduces the legacy fully-materialized
   /// representation (identity towers) — the before-side of bench/gate_apply.
@@ -243,10 +204,6 @@ public:
   /// Invalidate all operation caches and free every node that is no longer
   /// reachable from an externally referenced edge.
   GcReport garbageCollect() {
-    // GC is a stop-the-world quiescent-point operation: it is only ever
-    // entered from decRef/explicit calls outside the kernels, never while a
-    // fork-join recursion holds nodes that carry no ref count yet.
-    assert(activeKernels_ == 0 && "garbageCollect during a running kernel");
     const auto span = obs::Tracer::global().span("gc", "dd");
     const auto start = std::chrono::steady_clock::now();
     GcReport report;
@@ -476,35 +433,21 @@ public:
 
   // -- arithmetic ---------------------------------------------------------------
 
-  [[nodiscard]] VEdge add(const VEdge& a, const VEdge& b) {
-    const KernelScope scope(*this);
-    return addImpl(a, b, parallelDepth_);
-  }
-  [[nodiscard]] MEdge add(const MEdge& a, const MEdge& b) {
-    const KernelScope scope(*this);
-    return addImpl(a, b, parallelDepth_);
-  }
+  [[nodiscard]] VEdge add(const VEdge& a, const VEdge& b) { return addImpl(a, b); }
+  [[nodiscard]] MEdge add(const MEdge& a, const MEdge& b) { return addImpl(a, b); }
 
   /// Matrix-vector product M|v>.
-  [[nodiscard]] VEdge multiply(const MEdge& m, const VEdge& v) {
-    const KernelScope scope(*this);
-    return multiplyImpl(m, v, parallelDepth_);
-  }
+  [[nodiscard]] VEdge multiply(const MEdge& m, const VEdge& v) { return multiplyImpl(m, v); }
   /// Matrix-matrix product A*B.
-  [[nodiscard]] MEdge multiply(const MEdge& a, const MEdge& b) {
-    const KernelScope scope(*this);
-    return multiplyImpl(a, b, parallelDepth_);
-  }
+  [[nodiscard]] MEdge multiply(const MEdge& a, const MEdge& b) { return multiplyImpl(a, b); }
 
   /// |top> (x) |bottom>; top's variables must all lie above bottom's.
   [[nodiscard]] VEdge kronecker(const VEdge& top, const VEdge& bottom) {
-    const KernelScope scope(*this);
-    return kroneckerImpl(top, bottom, parallelDepth_);
+    return kroneckerImpl(top, bottom);
   }
   /// A (x) B for matrices; same variable discipline as the vector overload.
   [[nodiscard]] MEdge kronecker(const MEdge& top, const MEdge& bottom) {
-    const KernelScope scope(*this);
-    return kroneckerImpl(top, bottom, parallelDepth_);
+    return kroneckerImpl(top, bottom);
   }
 
   /// Conjugate transpose (adjoint) of a matrix DD.  Skip spans transpose to
@@ -637,7 +580,7 @@ public:
   /// running sum stays <= budget guarantees fidelity >= 1 - budget against
   /// the input state (for a normalized input).  Ties are broken by a DFS
   /// preorder ordinal of the owning node — a structural order, so the result
-  /// is identical no matter how many worker threads built the diagram.
+  /// depends only on the diagram, not on the history that built it.
   ///
   /// The surviving diagram is rebuilt bottom-up through makeVNode (pruned
   /// edges become the zero vector), which keeps it canonical: snapshots of a
@@ -661,8 +604,8 @@ public:
       const auto weightNorm2 = [this](Weight w) { return std::norm(system_.toComplex(w)); };
 
       // Upward pass: squared subtree norms, plus a DFS preorder ordinal per
-      // node (the deterministic tie-break; Node::seq is allocation-order and
-      // therefore scheduling-dependent under the parallel kernels).
+      // node (the structural tie-break; Node::seq would depend on the
+      // package's allocation history).
       std::unordered_map<const VNode*, double> norm2;
       std::unordered_map<const VNode*, std::size_t> ordinal;
       std::vector<const VNode*> preorder;
@@ -751,19 +694,6 @@ public:
 
       // Rebuild the surviving diagram bottom-up through makeVNode, memoized
       // per original node, so the pruned state is canonical like any other.
-      // The peak-node gauge samples once when the guard leaves scope: inUse
-      // is not monotone during the rebuild (normalization dedup returns
-      // fresh nodes to the free list), so per-insert samples would give the
-      // serial gauge finer resolution than the concurrent one and break the
-      // serial-vs-parallel byte-identity of the peaknodes column.
-      struct PeakGuard {
-        Package& pkg;
-        explicit PeakGuard(Package& p) : pkg(p) { pkg.peakSampleSuppressed_ = true; }
-        ~PeakGuard() {
-          pkg.peakSampleSuppressed_ = false;
-          pkg.peakNodes_ = std::max(pkg.peakNodes_, pkg.allocatedNodes());
-        }
-      } peakGuard{*this};
       const auto isZeroEdge = [this](const VEdge& e) {
         return e.node == nullptr && system_.isZero(e.w);
       };
@@ -989,12 +919,6 @@ private:
     ComputedTable<NodePairKey, EdgeT, kMulCacheEntries> mulCache;
     ComputedTable<NodePairKey, EdgeT, kKronCacheEntries> kronCache;
 
-    void setConcurrent(bool concurrent, std::size_t workers) {
-      unique.setConcurrent(concurrent);
-      if (concurrent) {
-        mem.setConcurrent(workers);
-      }
-    }
     /// GC sweep: unreferenced nodes leave the unique table for the free list.
     void sweep() {
       unique.sweep([this](NodeT* node) { mem.free(node); });
@@ -1003,43 +927,16 @@ private:
 
   // -- unified recursive algorithms ---------------------------------------------
 
-  /// RAII bracket around one public kernel invocation.  Tracks nesting so the
-  /// quiescent-point work (deferred unique-table growth, the peak-node gauge)
-  /// runs exactly when the outermost kernel exits — the only moment in
-  /// concurrent mode when no worker can still be probing the tables.
-  class KernelScope {
-  public:
-    explicit KernelScope(Package& pkg) : pkg_(pkg) { ++pkg_.activeKernels_; }
-    ~KernelScope() {
-      if (--pkg_.activeKernels_ == 0 && pkg_.concurrent_) {
-        pkg_.peakNodes_ = std::max(pkg_.peakNodes_, pkg_.allocatedNodes());
-        std::apply([](auto&... tables) { (tables.unique.growIfPending(), ...); }, pkg_.tables_);
-      }
-    }
-    KernelScope(const KernelScope&) = delete;
-    KernelScope& operator=(const KernelScope&) = delete;
-
-  private:
-    Package& pkg_;
-  };
-
   /// Canonical operand order (addition is commutative).  Keyed on the nodes'
   /// insert serials, not their addresses: under a tolerance-mode system the
-  /// operand order steers interning, and heap addresses shift with thread
-  /// arenas and allocation interleaving while the serial-mode insert order
-  /// does not.  Callers guarantee both operands are non-terminal.
+  /// operand order steers interning, and heap addresses depend on where
+  /// malloc placed the arena chunks (other packages allocate on other
+  /// threads) while the insert order does not.  Callers guarantee both
+  /// operands are non-terminal.
   template <class EdgeT> [[nodiscard]] bool orderForAdd(const EdgeT& a, const EdgeT& b) const {
     return a.node->seq < b.node->seq || (a.node == b.node && a.w <= b.w);
   }
 
-  /// `depth` is the remaining fork budget: while nonzero, the child
-  /// subproblems are split across exec::forkJoin (one half enqueued as a
-  /// stealable pool task, the other half run inline); at zero — and always in
-  /// serial mode, where parallelDepth_ is 0 — the loop below is the exact
-  /// pre-concurrency recursion.  The budget is spent per *materialized*
-  /// recursion step: a skip prefix shared by both operands is handled O(1)
-  /// here (never recursed into), so the cutoff measures effective depth.
-  ///
   /// Skip-level edges (matrix arity only): operands may be implicit
   /// identities — terminal, or skipping past the level where the other
   /// operand has its node.  The recursion descends to the highest
@@ -1051,7 +948,7 @@ private:
   /// for a given (node, weight) operand pair the core level is determined,
   /// and the cached entry is always the core-level result.
   template <class EdgeT>
-  [[nodiscard]] EdgeT addImpl(const EdgeT& a, const EdgeT& b, std::size_t depth = 0) {
+  [[nodiscard]] EdgeT addImpl(const EdgeT& a, const EdgeT& b) {
     if (system_.isZero(a.w)) {
       return b;
     }
@@ -1099,17 +996,8 @@ private:
       return EdgeT{nullptr, system_.zero()};
     };
     std::array<EdgeT, N> children;
-    const auto computeRange = [&](std::size_t begin, std::size_t end, std::size_t d) {
-      for (std::size_t i = begin; i < end; ++i) {
-        children[i] = addImpl(childOf(x, i), childOf(y, i), d);
-      }
-    };
-    if (depth != 0) {
-      const std::size_t d = depth - 1;
-      exec::forkJoin(
-          executor_, [&]() { computeRange(0, N / 2, d); }, [&]() { computeRange(N / 2, N, d); });
-    } else {
-      computeRange(0, N, 0);
+    for (std::size_t i = 0; i < N; ++i) {
+      children[i] = addImpl(childOf(x, i), childOf(y, i));
     }
     const EdgeT result = makeNode<EdgeT, N>(core, children);
     if (cache.insert(key, result)) {
@@ -1120,10 +1008,7 @@ private:
 
   /// Matrix-vector (result arity 2) and matrix-matrix (result arity 4)
   /// product through one recursion: the result has 2 rows and
-  /// N/2 columns, each entry a sum of two partial products.  Forks split the
-  /// two result rows (each row's products + additions form one task); the
-  /// fork budget decrements per materialized level only (skip prefixes are
-  /// fast-forwarded below), so the cutoff is an effective depth.
+  /// N/2 columns, each entry a sum of two partial products.
   ///
   /// Skip-level handling — the heart of the O(active qubits) gate apply:
   ///  - a terminal matrix operand is w·I over every remaining level, so
@@ -1140,7 +1025,7 @@ private:
   /// is materialized at core, so the cached entry is always the
   /// core-entering result for that pair (prefixes of any length share it).
   template <class REdge>
-  [[nodiscard]] REdge multiplyImpl(const MEdge& m, const REdge& v, std::size_t depth = 0) {
+  [[nodiscard]] REdge multiplyImpl(const MEdge& m, const REdge& v) {
     if (system_.isZero(m.w) || system_.isZero(v.w)) {
       return REdge{nullptr, system_.zero()};
     }
@@ -1188,20 +1073,12 @@ private:
                                     : REdge{nullptr, system_.zero()};
     };
     std::array<REdge, N> children;
-    const auto computeRow = [&](std::size_t row, std::size_t d) {
+    for (std::size_t row = 0; row < 2; ++row) {
       for (std::size_t col = 0; col < cols; ++col) {
-        const REdge p0 = multiplyImpl(mChild(2 * row), vChild(col), d);
-        const REdge p1 = multiplyImpl(mChild(2 * row + 1), vChild(cols + col), d);
-        children[cols * row + col] = addImpl(p0, p1, d);
+        const REdge p0 = multiplyImpl(mChild(2 * row), vChild(col));
+        const REdge p1 = multiplyImpl(mChild(2 * row + 1), vChild(cols + col));
+        children[cols * row + col] = addImpl(p0, p1);
       }
-    };
-    if (depth != 0) {
-      const std::size_t d = depth - 1;
-      exec::forkJoin(
-          executor_, [&]() { computeRow(0, d); }, [&]() { computeRow(1, d); });
-    } else {
-      computeRow(0, 0);
-      computeRow(1, 0);
     }
     const REdge result = makeNode<REdge, N>(core, children);
     if (cache.insert(key, result)) {
@@ -1217,7 +1094,7 @@ private:
   /// context level so the graft point is known (their canonical var of 0
   /// carries no position).
   template <class EdgeT>
-  [[nodiscard]] EdgeT kroneckerImpl(const EdgeT& top, const EdgeT& bottom, std::size_t depth = 0) {
+  [[nodiscard]] EdgeT kroneckerImpl(const EdgeT& top, const EdgeT& bottom) {
     constexpr std::size_t N = EdgeT::Node::kBranching;
     if (system_.isZero(top.w) || system_.isZero(bottom.w)) {
       return EdgeT{nullptr, system_.zero()};
@@ -1244,21 +1121,12 @@ private:
     cacheStats.misses.inc();
     const EdgeT stripBottom{bottom.node, system_.one(), bottom.var};
     std::array<EdgeT, N> children;
-    const auto computeRange = [&](std::size_t begin, std::size_t end, std::size_t d) {
-      for (std::size_t i = begin; i < end; ++i) {
-        EdgeT child = top.node->e[i];
-        if (child.isTerminal()) {
-          child.var = top.node->var + 1; // actual context of this terminal
-        }
-        children[i] = kroneckerImpl(child, stripBottom, d);
+    for (std::size_t i = 0; i < N; ++i) {
+      EdgeT child = top.node->e[i];
+      if (child.isTerminal()) {
+        child.var = top.node->var + 1; // actual context of this terminal
       }
-    };
-    if (depth != 0) {
-      const std::size_t d = depth - 1;
-      exec::forkJoin(
-          executor_, [&]() { computeRange(0, N / 2, d); }, [&]() { computeRange(N / 2, N, d); });
-    } else {
-      computeRange(0, N, 0);
+      children[i] = kroneckerImpl(child, stripBottom);
     }
     const EdgeT result = makeNode<EdgeT, N>(top.node->var, children);
     if (cache.insert(key, result)) {
@@ -1389,11 +1257,6 @@ private:
     auto& unique = tables.unique;
     obs::UniqueTableStats& tableStats = stats_.*Tables::kUniqueStats;
     const std::uint64_t contentHash = hashNodeContents(var, children);
-    // In concurrent mode the whole find-or-insert sequence holds the bucket's
-    // stripe lock, making the probe-then-link atomic per bucket; the guard is
-    // a no-op handle in serial mode.  Lock order: stripe before the arena's
-    // refill mutex (mem.get may refill), never the reverse.
-    const auto stripe = unique.lockStripe(contentHash);
     tableStats.lookups.inc();
     if (auto* existing = unique.find(var, children, contentHash)) {
       tableStats.hits.inc();
@@ -1411,34 +1274,18 @@ private:
     } else {
       stats_.nodeAllocations.inc();
     }
-    auto* node = concurrent_ ? mem.get(exec::workerSlot()) : mem.get();
+    auto* node = mem.get();
     node->var = var;
     node->ref = 0;
-    node->seq = concurrent_
-                    ? std::atomic_ref<std::uint64_t>(nodeSeq_).fetch_add(
-                          1, std::memory_order_relaxed)
-                    : nodeSeq_++;
+    node->seq = nodeSeq_++;
     node->e = children;
     for (const EdgeT& child : children) {
       if (child.node != nullptr) {
-        if (concurrent_) {
-          // Another worker interning a sibling node may bump the same child
-          // concurrently; the count itself is only *read* at quiescent
-          // points (GC sweep), so relaxed is enough.
-          std::atomic_ref<std::uint32_t>(child.node->ref)
-              .fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++child.node->ref;
-        }
+        ++child.node->ref;
       }
     }
     unique.insert(node, contentHash);
-    if (!concurrent_ && !peakSampleSuppressed_) {
-      // Concurrent mode samples the peak once per outermost kernel exit
-      // (KernelScope) instead of per insert — the gauge is monotone, so the
-      // only loss is intra-kernel resolution.
-      peakNodes_ = std::max(peakNodes_, allocatedNodes());
-    }
+    peakNodes_ = std::max(peakNodes_, allocatedNodes());
     return EdgeT{node, factor};
   }
 
@@ -1527,21 +1374,13 @@ private:
 
   std::tuple<ArityTables<VNode>, ArityTables<MNode>> tables_;
   std::size_t peakNodes_ = 0;
-  /// True while prune() rebuilds: per-insert peak samples are suppressed so
-  /// the gauge keeps the same (end-of-rebuild) resolution in serial and
-  /// concurrent mode — the byte-identity contract covers the peak column.
-  bool peakSampleSuppressed_ = false;
-  std::uint64_t nodeSeq_ = 0; ///< next insert serial (atomic_ref'd when concurrent)
+  std::uint64_t nodeSeq_ = 0; ///< next insert serial
 
   std::size_t gcWatermark_ = 0;
   std::size_t gcRuns_ = 0;
   GcReport lastGcReport_{};
 
-  exec::ThreadPool* executor_ = nullptr;     ///< kernel fork target (not owned)
-  std::size_t parallelDepth_ = 0;            ///< active fork cutoff (0 = serial)
-  bool concurrent_ = false;                  ///< kernels run the parallel paths
-  int activeKernels_ = 0;                    ///< KernelScope nesting depth
-  bool skipIdentities_ = true;               ///< Config::skipIdentities (matrix skip edges)
+  bool skipIdentities_ = true; ///< Config::skipIdentities (matrix skip edges)
 
   mutable std::uint64_t visitEpoch_ = 0; ///< current traversal generation
 

@@ -18,16 +18,12 @@ double secondsSince(Clock::time_point start) {
 }
 
 /// Per-point trace options: each numeric point gets its own checkpoint
-/// namespace so parallel points never write the same file.  The pool is also
-/// handed down as the kernel fork target — exact-mode points split their DD
-/// operations across the same workers that run the point fan-out (the
-/// fork-join steal-back protocol makes that composition deadlock-free).
-TraceOptions pointOptions(const SweepSpec& spec, std::size_t pointIndex, exec::ThreadPool* pool) {
+/// namespace so parallel points never write the same file.
+TraceOptions pointOptions(const SweepSpec& spec, std::size_t pointIndex) {
   TraceOptions options = spec.options;
   if (options.checkpointEvery != 0) {
     options.checkpointPathPrefix += "p" + std::to_string(pointIndex) + "_";
   }
-  options.kernelPool = pool;
   return options;
 }
 
@@ -40,12 +36,7 @@ SweepResult runSweep(const SweepSpec& spec, exec::ThreadPool* pool) {
 
   // Phase 1 — the exact algebraic reference, computed or loaded exactly
   // once: it is a single simulation (nothing to fan out) and the trajectory
-  // must exist before any numeric point can measure accuracy.  It is no
-  // longer fully serial, though: the pool is attached as the kernel fork
-  // target, so the DD operations *inside* the one reference simulation
-  // split across the workers — the Amdahl spine of the whole sweep.
-  TraceOptions referenceOptions = spec.options;
-  referenceOptions.kernelPool = pool;
+  // must exist before any numeric point can measure accuracy.
   const ReferenceTrajectory* trajectory = nullptr;
   switch (spec.reference) {
   case ReferencePolicy::None:
@@ -53,7 +44,7 @@ SweepResult runSweep(const SweepSpec& spec, exec::ThreadPool* pool) {
   case ReferencePolicy::Inline: {
     const auto referenceSpan = obs::Tracer::global().span("reference", "eval");
     SimulationTrace algebraic =
-        traceAlgebraic(spec.circuit, referenceOptions, {}, &result.trajectory);
+        traceAlgebraic(spec.circuit, spec.options, {}, &result.trajectory);
     trajectory = &result.trajectory;
     if (spec.includeAlgebraicTrace) {
       result.traces.push_back(std::move(algebraic));
@@ -66,7 +57,7 @@ SweepResult runSweep(const SweepSpec& spec, exec::ThreadPool* pool) {
     }
     const auto referenceSpan = obs::Tracer::global().span("reference", "eval");
     CachedAlgebraicReference cached = traceAlgebraicCached(
-        spec.circuit, referenceOptions, spec.referenceCachePath, spec.refreshReference);
+        spec.circuit, spec.options, spec.referenceCachePath, spec.refreshReference);
     result.referenceFromCache = cached.fromCache;
     result.referenceCacheSeconds = cached.cacheSeconds;
     result.trajectory = std::move(cached.trajectory);
@@ -86,7 +77,7 @@ SweepResult runSweep(const SweepSpec& spec, exec::ThreadPool* pool) {
   const auto numericStart = Clock::now();
   exec::parallelFor(pool, spec.points.size(), [&](std::size_t i) {
     const RunSpec& point = spec.points[i];
-    const TraceOptions options = pointOptions(spec, i, pool);
+    const TraceOptions options = pointOptions(spec, i);
     result.traces[base + i] = traceRun(spec.circuit, point, trajectory, options, spec.normalization);
   });
   result.numericSweepSeconds = secondsSince(numericStart);

@@ -61,9 +61,6 @@ SimulationTrace traceAlgebraic(const qc::Circuit& circuit, const TraceOptions& o
                                dd::AlgebraicSystem::Config config,
                                ReferenceTrajectory* reference) {
   qc::Simulator<dd::AlgebraicSystem> simulator(circuit, config);
-  if (options.kernelPool != nullptr) {
-    simulator.setExecutor(options.kernelPool);
-  }
   SimulationTrace trace;
   trace.label = simulator.package().system().describe();
   const auto traceSpan = obs::Tracer::global().span("traceAlgebraic", "eval");
@@ -130,12 +127,6 @@ SimulationTrace traceNumericT(const qc::Circuit& circuit, double epsilon,
                               const char* labelPrefix, const dd::ApproxSpec& approx = {}) {
   qc::Simulator<System> simulator(circuit, {epsilon, normalization});
   simulator.setApproximation(approx);
-  if (options.kernelPool != nullptr) {
-    // The package decides: exact-mode interning engages the parallel
-    // kernels, tolerance mode silently keeps the serial (order-preserving,
-    // lossless-cache) path.
-    simulator.setExecutor(options.kernelPool);
-  }
   SimulationTrace trace;
   {
     std::ostringstream label;

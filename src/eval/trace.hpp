@@ -99,11 +99,7 @@ struct TraceOptions {
   /// excluded from the trace's timed sections, like sampling.
   std::size_t checkpointEvery = 0;
   std::string checkpointPathPrefix = "checkpoint_g";
-  /// Thread pool the DD kernels of this trace fork onto (intra-operation
-  /// parallelism; see dd::Package::setExecutor).  nullptr = serial kernels.
-  /// Value columns stay byte-identical to a serial run whenever the package
-  /// engages concurrency at all (it only does so for order-independent
-  /// systems); only time/hit-rate columns may move.
+  /// Read by nothing, kept only for perfbench/; goes with the next benchmark change.
   exec::ThreadPool* kernelPool = nullptr;
 };
 

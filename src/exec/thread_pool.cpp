@@ -11,10 +11,6 @@ namespace {
 /// Set while the current thread is executing a pool task.
 thread_local bool tlsOnWorker = false;
 
-/// Dense arena slot of this thread: 0 for external threads, i+1 for pool
-/// worker i (assigned once in workerLoop).
-thread_local std::size_t tlsWorkerSlot = 0;
-
 } // namespace
 
 std::size_t defaultJobs() {
@@ -31,16 +27,11 @@ std::size_t defaultJobs() {
 
 bool onWorkerThread() { return tlsOnWorker; }
 
-std::size_t workerSlot() { return tlsWorkerSlot; }
-
 ThreadPool::ThreadPool(std::size_t workers) {
   const std::size_t count = workers == 0 ? 1 : workers;
   threads_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    threads_.emplace_back([this, i]() {
-      tlsWorkerSlot = i + 1;
-      workerLoop();
-    });
+    threads_.emplace_back([this]() { workerLoop(); });
   }
 }
 

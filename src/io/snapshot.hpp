@@ -303,10 +303,10 @@ template <class System, class EdgeT>
   // ascending by handle — the original interning order — so a reload into a
   // fresh table replays the same unification decisions.  Order-independent
   // systems dump in first-use order of the topological walk instead: their
-  // handle values shift with kernel scheduling under the parallel kernels,
-  // but the walk depends only on the DD itself, so snapshot bytes stay
-  // identical between serial and parallel runs (reload order is immaterial
-  // when interning is exact).
+  // handle values depend on the package's interning history (a serve session
+  // keeps its package across jobs), but the walk depends only on the DD
+  // itself, so the snapshot bytes depend only on the state (reload order is
+  // immaterial when interning is exact).
   std::vector<Weight> dumpOrder;
   std::unordered_map<Weight, std::uint64_t> weightIndex;
   auto noteWeight = [&](Weight handle) {

@@ -217,12 +217,6 @@ public:
     }
   }
 
-  /// Attach the thread pool the package's DD kernels fork onto (nullptr
-  /// detaches; see dd::Package::setExecutor for when concurrency actually
-  /// engages).  Call between gates, never from a perGate callback that is
-  /// itself running on the pool.
-  void setExecutor(exec::ThreadPool* pool) { package_->setExecutor(pool); }
-
   [[nodiscard]] const VEdge& state() const { return state_; }
   [[nodiscard]] Package& package() { return *package_; }
   [[nodiscard]] const Package& package() const { return *package_; }

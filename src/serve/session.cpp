@@ -24,12 +24,9 @@ public:
   using Package = dd::Package<System>;
   using Simulator = qc::Simulator<System>;
 
-  BackendImpl(const SessionConfig& config, typename System::Config systemConfig,
-              exec::ThreadPool* kernelPool)
+  BackendImpl(const SessionConfig& config, typename System::Config systemConfig)
       : config_(config),
-        package_(std::make_shared<Package>(static_cast<dd::Qubit>(config.qubits), systemConfig)) {
-    package_->setExecutor(kernelPool);
-  }
+        package_(std::make_shared<Package>(static_cast<dd::Qubit>(config.qubits), systemConfig)) {}
 
   JobResult run(const JobRequest& request, const GateCallback& onGate) override {
     if (request.circuit.qubits() != config_.qubits) {
@@ -166,8 +163,7 @@ private:
 
 } // namespace
 
-std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config,
-                                                   exec::ThreadPool* kernelPool) {
+std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config) {
   if (config.qubits == 0 || config.qubits > 64) {
     throw ServeError(kBadRequest, "qubits must be in [1, 64]");
   }
@@ -189,7 +185,7 @@ std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config,
     }
     dd::AlgebraicSystem::Config systemConfig;
     systemConfig.gcWatermark = config.gcWatermark;
-    return std::make_unique<BackendImpl<dd::AlgebraicSystem>>(config, systemConfig, kernelPool);
+    return std::make_unique<BackendImpl<dd::AlgebraicSystem>>(config, systemConfig);
   }
   if (config.system == "num") {
     dd::NumericSystem::Config systemConfig;
@@ -198,7 +194,7 @@ std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config,
                                      ? dd::NumericSystem::Normalization::MaxMagnitude
                                      : dd::NumericSystem::Normalization::LeftmostNonzero;
     systemConfig.gcWatermark = config.gcWatermark;
-    return std::make_unique<BackendImpl<dd::NumericSystem>>(config, systemConfig, kernelPool);
+    return std::make_unique<BackendImpl<dd::NumericSystem>>(config, systemConfig);
   }
   throw ServeError(kBadRequest, "unknown weight system '" + config.system +
                                     "' (expected \"alg\" or \"num\")");
@@ -222,7 +218,7 @@ std::shared_ptr<Session> SessionManager::open(SessionConfig config) {
       throw ServeError(kTooManyRequests,
                        "session limit reached (" + std::to_string(limits_.maxSessions) + ")");
     }
-    session->backend_ = makeSessionBackend(config, kernelPool_); // validates config
+    session->backend_ = makeSessionBackend(config); // validates config
     session->lastUsedTick_.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                                  std::memory_order_relaxed);
     sessions_.emplace(config.name, session);
@@ -268,7 +264,7 @@ void SessionManager::withBackend(Session& session,
     if (session.backend_ == nullptr) {
       // Rebuild the package and restore the idle checkpoint (if the session
       // held state when it was persisted).
-      session.backend_ = makeSessionBackend(session.config_, kernelPool_);
+      session.backend_ = makeSessionBackend(session.config_);
       if (!session.persistedCheckpoint_.empty()) {
         session.backend_->restore(std::span<const std::uint8_t>(session.persistedCheckpoint_));
         session.persistedCheckpoint_.clear();

@@ -30,10 +30,6 @@
 #include <string>
 #include <vector>
 
-namespace qadd::exec {
-class ThreadPool;
-}
-
 namespace qadd::serve {
 
 /// Per-session configuration fixed at open time.
@@ -100,12 +96,8 @@ public:
   [[nodiscard]] virtual std::size_t liveNodes() const = 0;
 };
 
-/// Build a backend for `config` (validates system/qubits).  `kernelPool` is
-/// the pool the package's DD kernels fork onto, or nullptr for serial
-/// kernels (the default in the daemon: jobs themselves are the unit of
-/// parallelism).
-[[nodiscard]] std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config,
-                                                                 exec::ThreadPool* kernelPool);
+/// Build a backend for `config` (validates system/qubits).
+[[nodiscard]] std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config);
 
 class SessionManager;
 
@@ -164,8 +156,7 @@ public:
     std::atomic<std::uint64_t> restored{0};
   };
 
-  SessionManager(Limits limits, exec::ThreadPool* kernelPool)
-      : limits_(limits), kernelPool_(kernelPool) {}
+  explicit SessionManager(Limits limits) : limits_(limits) {}
 
   /// \throws ServeError(409) on a duplicate name, (429) past maxSessions,
   /// (400) on an invalid config.
@@ -190,7 +181,6 @@ private:
   void enforceWatermark();
 
   Limits limits_;
-  exec::ThreadPool* kernelPool_;
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
   std::atomic<std::uint64_t> tick_{0};

@@ -158,7 +158,7 @@ TEST(ServeJobQueue, DispatchesByPriorityAndRejectsPastDepth) {
 TEST(ServeSession, PersistsIdleSessionsAndRestoresByteIdentically) {
   serve::SessionManager::Limits limits;
   limits.memoryWatermarkNodes = 1; // everything idle gets persisted
-  serve::SessionManager manager(limits, nullptr);
+  serve::SessionManager manager(limits);
 
   serve::SessionConfig config;
   config.system = "alg";
@@ -192,7 +192,7 @@ TEST(ServeSession, PersistsIdleSessionsAndRestoresByteIdentically) {
 TEST(ServeSession, OpenValidatesAndEnforcesLimits) {
   serve::SessionManager::Limits limits;
   limits.maxSessions = 1;
-  serve::SessionManager manager(limits, nullptr);
+  serve::SessionManager manager(limits);
   serve::SessionConfig config;
   config.name = "s";
   config.qubits = 2;
@@ -525,6 +525,64 @@ TEST(ServeServer, StateAndLoadStateRoundTrip) {
   state2.set("session", "dst");
   EXPECT_EQ(client.call(state2).getString("snapshot_b64"), blob);
   server.stop();
+}
+
+TEST(ServeServer, RunBytesIndependentOfWorkerCount) {
+  // Jobs are the daemon's unit of parallelism: every session owns its
+  // package, so running several sessions at once on more workers must not
+  // change a single output byte.  The result cache is off so every session
+  // computes its own run.
+  struct Job {
+    std::string session;
+    std::string system;
+    qc::Circuit circuit;
+  };
+  const std::vector<Job> jobs{
+      {"alg6", "alg", algos::grover({6, 9, 0})}, {"alg7", "alg", algos::grover({7, 100, 0})},
+      {"num6", "num", algos::grover({6, 9, 0})}, {"num7", "num", algos::grover({7, 100, 0})}};
+  struct Reply {
+    std::string snapshot;
+    std::size_t nodes = 0;
+    bool operator==(const Reply&) const = default;
+  };
+  const auto runAll = [&jobs](std::size_t workers) {
+    serve::ServerConfig config = testConfig();
+    config.workers = workers;
+    config.resultCacheEntries = 0;
+    serve::Server server(config);
+    server.start();
+    std::vector<Reply> replies(jobs.size());
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      clients.emplace_back([&server, &job = jobs[i], &reply = replies[i]] {
+        serve::Client client = connectTo(server);
+        if (!openSession(client, job.session, job.system, job.circuit.qubits()).getBool("ok")) {
+          return; // leaves an empty reply, which the comparison below reports
+        }
+        serve::json::Value run = makeRequest("run");
+        run.set("session", job.session);
+        run.set("circuit", job.circuit.toText());
+        run.set("snapshot", true);
+        const serve::json::Value result = client.call(run);
+        if (result.getBool("ok")) {
+          reply = {result.getString("snapshot_b64"),
+                   static_cast<std::size_t>(result.getNumber("nodes"))};
+        }
+      });
+    }
+    for (std::thread& client : clients) {
+      client.join();
+    }
+    server.stop();
+    return replies;
+  };
+  const std::vector<Reply> serial = runAll(1);
+  const std::vector<Reply> parallel = runAll(4);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_FALSE(serial[i].snapshot.empty()) << jobs[i].session;
+    EXPECT_GT(serial[i].nodes, 0U) << jobs[i].session;
+    EXPECT_EQ(parallel[i], serial[i]) << jobs[i].session << ": run bytes moved with workers";
+  }
 }
 
 TEST(ServeServer, ShutdownRefusesNewWorkWith503) {

@@ -6,14 +6,12 @@
 ///    gate node counts independent of register width);
 ///  - the end-to-end property test: random Clifford+T circuits simulated
 ///    with and without skipping produce identical snapshot bytes and
-///    amplitudes, at jobs 1 and 4, under both weight systems and every
-///    epsilon mode;
+///    amplitudes, under both weight systems and every epsilon mode;
 ///  - QDDS round trips of skip edges and load-compat for v1 / materialized
 ///    matrix snapshots (identity towers collapse on load);
 ///  - the profiler's per-level skipped counters.
 #include "core/export.hpp"
 #include "core/package.hpp"
-#include "exec/thread_pool.hpp"
 #include "io/snapshot.hpp"
 #include "obs/profiler.hpp"
 #include "qc/circuit.hpp"
@@ -145,15 +143,9 @@ struct RunResult {
 };
 
 template <class System>
-RunResult simulate(const qc::Circuit& circuit, typename System::Config config, bool skip,
-                   int jobs) {
+RunResult simulate(const qc::Circuit& circuit, typename System::Config config, bool skip) {
   config.skipIdentities = skip;
   qc::Simulator<System> simulator(circuit, config);
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (jobs > 1) {
-    pool = std::make_unique<exec::ThreadPool>(static_cast<std::size_t>(jobs));
-    simulator.setExecutor(pool.get());
-  }
   while (simulator.step()) {
   }
   return {io::saveVector(simulator.package(), simulator.state()),
@@ -161,9 +153,9 @@ RunResult simulate(const qc::Circuit& circuit, typename System::Config config, b
 }
 
 template <class System>
-void expectSkipInvariant(const qc::Circuit& circuit, typename System::Config config, int jobs) {
-  const RunResult with = simulate<System>(circuit, config, true, jobs);
-  const RunResult without = simulate<System>(circuit, config, false, jobs);
+void expectSkipInvariant(const qc::Circuit& circuit, typename System::Config config) {
+  const RunResult with = simulate<System>(circuit, config, true);
+  const RunResult without = simulate<System>(circuit, config, false);
   EXPECT_EQ(with.snapshot, without.snapshot)
       << "final-state snapshot bytes must not depend on identity skipping";
   EXPECT_EQ(with.amplitudes, without.amplitudes);
@@ -171,10 +163,7 @@ void expectSkipInvariant(const qc::Circuit& circuit, typename System::Config con
 
 TEST(SkipEdges, AlgebraicApplyMatchesMaterialized) {
   for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
-    const qc::Circuit circuit = randomCliffordT(seed, 6, 40);
-    for (const int jobs : {1, 4}) {
-      expectSkipInvariant<AlgebraicSystem>(circuit, {}, jobs);
-    }
+    expectSkipInvariant<AlgebraicSystem>(randomCliffordT(seed, 6, 40), {});
   }
 }
 
@@ -182,10 +171,8 @@ TEST(SkipEdges, NumericApplyMatchesMaterializedAllEpsilonModes) {
   for (const std::uint64_t seed : {11ULL, 12ULL}) {
     const qc::Circuit circuit = randomCliffordT(seed, 6, 40);
     for (const double epsilon : {0.0, 1e-10, 1e-5}) {
-      for (const int jobs : {1, 4}) {
-        expectSkipInvariant<NumericSystem>(
-            circuit, {epsilon, NumericSystem::Normalization::LeftmostNonzero}, jobs);
-      }
+      expectSkipInvariant<NumericSystem>(circuit,
+                                         {epsilon, NumericSystem::Normalization::LeftmostNonzero});
     }
   }
 }

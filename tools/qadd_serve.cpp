@@ -5,8 +5,7 @@
 ///
 ///   ./qadd_serve [--port N] [--bind A] [--workers N] [--max-queue N]
 ///                [--max-sessions N] [--watermark-nodes N] [--idle-timeout S]
-///                [--write-stall S] [--max-frame-bytes N] [--cache N]
-///                [--kernel-parallel] [--help]
+///                [--write-stall S] [--max-frame-bytes N] [--cache N] [--help]
 ///
 /// Prints "qadd_serve listening on port <port>" once ready (with --port 0
 /// the kernel picks the port; harnesses parse this line).  SIGINT/SIGTERM or
@@ -34,8 +33,7 @@ int usage(int code) {
          "  --idle-timeout S     close idle connections after S seconds, 0=never (default 300)\n"
          "  --write-stall S      drop connections that stop reading after S seconds (default 30)\n"
          "  --max-frame-bytes N  413-reject frames beyond N bytes (default 8388608)\n"
-         "  --cache N            identical-job result cache entries, 0=off (default 128)\n"
-         "  --kernel-parallel    also fork DD kernels onto the worker pool (experimental)\n";
+         "  --cache N            identical-job result cache entries, 0=off (default 128)\n";
   return code;
 }
 
@@ -72,8 +70,6 @@ int main(int argc, char** argv) {
       config.maxFrameBytes = static_cast<std::size_t>(number(config.maxFrameBytes));
     } else if (arg == "--cache") {
       config.resultCacheEntries = static_cast<std::size_t>(number(config.resultCacheEntries));
-    } else if (arg == "--kernel-parallel") {
-      config.kernelParallel = true;
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return usage(2);
