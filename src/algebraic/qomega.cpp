@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -81,9 +82,14 @@ bool QOmega::canonicalizeSmall() {
       }
       return x;
     };
-    std::uint64_t g = gcdU64(gcdU64(absU64(n.a), absU64(n.b)),
-                             gcdU64(absU64(n.c), absU64(n.d)));
-    g = gcdU64(g, static_cast<std::uint64_t>(den));
+    // Same den-first fold with early exit as the big path below.
+    std::uint64_t g = static_cast<std::uint64_t>(den);
+    for (const std::int64_t coefficient : {n.a, n.b, n.c, n.d}) {
+      g = gcdU64(g, absU64(coefficient));
+      if (g == 1) {
+        break;
+      }
+    }
     if (g != 1) {
       const auto divisor = static_cast<std::int64_t>(g);
       n.a /= divisor;
@@ -128,11 +134,16 @@ void QOmega::canonicalize() {
   }
   // (c) cancel the odd content shared between numerator and denominator.
   // (Dividing by an odd integer preserves coefficient parities, so the
-  // exponent stays minimal.)
+  // exponent stays minimal.)  Fold from den_: every partial gcd is bounded
+  // by den_'s size, and most calls reach 1 after the first coefficient.
   if (!den_.isOne()) {
-    BigInt g = BigInt::gcd(BigInt::gcd(num_.a(), num_.b()),
-                           BigInt::gcd(num_.c(), num_.d()));
-    g = BigInt::gcd(std::move(g), den_);
+    BigInt g = den_;
+    for (const BigInt* coefficient : {&num_.a(), &num_.b(), &num_.c(), &num_.d()}) {
+      g = BigInt::gcd(std::move(g), *coefficient);
+      if (g.isOne()) {
+        break;
+      }
+    }
     if (!g.isOne()) {
       num_ = ZOmega{num_.a() / g, num_.b() / g, num_.c() / g, num_.d() / g};
       den_ /= g;

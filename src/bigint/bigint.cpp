@@ -774,6 +774,60 @@ std::uint64_t topWindow(const qadd::detail::LimbVec& limbs, std::size_t shift) n
   return static_cast<std::uint64_t>(window >> bitIndex);
 }
 
+/// Flush a signed running carry into `out` and leave the magnitude of the
+/// sum there: the limbs so far plus carry * 2^(32 size) is the exact value,
+/// so a final carry of -1 means the limbs hold its two's complement.
+void finishSignedSum(qadd::detail::LimbVec& out, __int128 carry) {
+  while (carry != 0 && carry != -1) {
+    out.push_back(static_cast<std::uint32_t>(carry));
+    carry >>= 32;
+  }
+  if (carry == -1) {
+    std::uint64_t increment = 1;
+    for (std::uint32_t& limb : out) {
+      const std::uint64_t next = static_cast<std::uint64_t>(~limb) + increment;
+      limb = static_cast<std::uint32_t>(next);
+      increment = next >> 32;
+    }
+    if (increment != 0) {
+      out.push_back(1);
+    }
+  }
+  while (!out.empty() && out.back() == 0) {
+    out.pop_back();
+  }
+}
+
+/// Lehmer's cofactor step in one signed-carry pass over the limbs:
+///   outX = |mA*a + mB*b|  and  outY = |mC*a + mD*b|.
+/// The outputs are caller-owned scratch reused across rounds, so a round
+/// allocates nothing once they have grown to the first round's size.
+/// |cofactors| <= 2^62 keeps every running sum below 2^96.
+/// \pre a.size() >= b.size()
+void lehmerCombine(const qadd::detail::LimbVec& a, const qadd::detail::LimbVec& b,
+                   std::int64_t mA, std::int64_t mB, std::int64_t mC, std::int64_t mD,
+                   qadd::detail::LimbVec& outX, qadd::detail::LimbVec& outY) {
+  assert(a.size() >= b.size());
+  outX.clear();
+  outY.clear();
+  outX.reserve(a.size() + 3);
+  outY.reserve(a.size() + 3);
+  __int128 carryX = 0;
+  __int128 carryY = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const __int128 ai = a[i];
+    const __int128 bi = i < b.size() ? b[i] : 0;
+    carryX += mA * ai + mB * bi;
+    carryY += mC * ai + mD * bi;
+    outX.push_back(static_cast<std::uint32_t>(carryX));
+    outY.push_back(static_cast<std::uint32_t>(carryY));
+    carryX >>= 32;
+    carryY >>= 32;
+  }
+  finishSignedSum(outX, carryX);
+  finishSignedSum(outY, carryY);
+}
+
 } // namespace
 
 BigInt BigInt::gcd(BigInt a, BigInt b) {
@@ -796,12 +850,14 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
     a.setMagU64(x, false);
     return a;
   }
-  // Lehmer's GCD: run Euclid on the aligned top 63 bits of both operands with
+  // Lehmer's GCD: run Euclid on the aligned top 62 bits of both operands with
   // int64 cofactors, then apply the accumulated 2x2 matrix (determinant +-1,
   // so the gcd is preserved) to the full values in one O(limbs) pass.  Each
-  // round retires ~31 bits, against 1 bit per subtract-and-shift round of the
+  // round retires ~30 bits, against 1 bit per subtract-and-shift round of the
   // binary GCD this replaces — the difference dominated whole-simulation
   // profiles via the canonicalization content gcd.
+  LimbVec nextA;
+  LimbVec nextB;
   while (a.limbs_.size() > 2 || b.limbs_.size() > 2) {
     if (compareMagnitude(a.limbs_, b.limbs_) < 0) {
       std::swap(a, b);
@@ -810,7 +866,9 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
       return a;
     }
     const std::size_t bits = a.bitLength();
-    const std::size_t shift = bits > 63 ? bits - 63 : 0;
+    // 62 bits, not 63: the window plus a cofactor (|m| <= 2^62) must stay
+    // inside int64.
+    const std::size_t shift = bits > 62 ? bits - 62 : 0;
     std::int64_t xh = static_cast<std::int64_t>(topWindow(a.limbs_, shift));
     std::int64_t yh = static_cast<std::int64_t>(topWindow(b.limbs_, shift));
     std::int64_t mA = 1;
@@ -850,11 +908,8 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
       a.limbs_ = std::move(b.limbs_);
       b.limbs_ = std::move(remainder);
     } else {
-      BigInt nextA = a * BigInt{mA} + b * BigInt{mB};
-      BigInt nextB = a * BigInt{mC} + b * BigInt{mD};
-      nextA.negative_ = false;
-      nextB.negative_ = false;
-      if (compareMagnitude(nextB.limbs_, b.limbs_) >= 0) {
+      lehmerCombine(a.limbs_, b.limbs_, mA, mB, mC, mD, nextA, nextB);
+      if (compareMagnitude(nextB, b.limbs_) >= 0) {
         // No reduction (pathological window): force progress by division.
         LimbVec quotient;
         LimbVec remainder;
@@ -862,8 +917,10 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
         a.limbs_ = std::move(b.limbs_);
         b.limbs_ = std::move(remainder);
       } else {
-        a = std::move(nextA);
-        b = std::move(nextB);
+        // Copy back rather than swap buffers: the remainders never outgrow
+        // the operands they replace, so this stays allocation-free.
+        a.limbs_.assign(nextA.begin(), nextA.end());
+        b.limbs_.assign(nextB.begin(), nextB.end());
       }
     }
   }

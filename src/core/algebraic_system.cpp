@@ -126,15 +126,14 @@ AlgebraicSystem::Weight AlgebraicSystem::normalize(std::span<Weight> weights) {
     factor = intern(unit.inverse());
   } else if (config_.normalization == Normalization::QOmegaInverse) {
     // Algorithm 2: divide all weights by the leftmost non-zero one; every
-    // non-zero Q[omega] value has an exact inverse.
+    // non-zero Q[omega] value has an exact inverse.  The products go through
+    // the weight op cache: the same (weight, pivot) pairs recur whenever a
+    // node is rebuilt, e.g. on every unique-table hit.
     factor = weights[pivot];
     if (!isOne(factor)) {
-      const QOmega& inverse = value(inverseOf(factor));
+      const Weight inverse = inverseOf(factor);
       for (std::size_t i = 0; i < weights.size(); ++i) {
-        if (isZero(weights[i])) {
-          continue;
-        }
-        weights[i] = i == pivot ? one() : intern(value(weights[i]) * inverse);
+        weights[i] = i == pivot ? one() : mul(weights[i], inverse);
       }
     }
   } else {
@@ -156,14 +155,10 @@ AlgebraicSystem::Weight AlgebraicSystem::normalize(std::span<Weight> weights) {
     const QOmega eta = leftmost / QOmega{canonical};
     factor = intern(eta);
     if (!eta.isOne()) {
-      const QOmega& etaInverse = value(inverseOf(factor));
+      const Weight etaInverse = inverseOf(factor);
       for (Weight& w : weights) {
-        if (isZero(w)) {
-          continue;
-        }
-        const QOmega updated = value(w) * etaInverse;
-        assert(updated.isDyadic());
-        w = intern(updated);
+        w = mul(w, etaInverse);
+        assert(value(w).isDyadic());
       }
     }
   }

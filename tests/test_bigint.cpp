@@ -214,6 +214,74 @@ TEST(BigInt, GcdDividesLargeProducts) {
   }
 }
 
+/// A random magnitude of exactly `bits` bits (bits >= 1).
+BigInt randomBits(std::mt19937_64& rng, std::size_t bits) {
+  BigInt value{0};
+  for (std::size_t filled = 0; filled < bits; filled += 32) {
+    value = value.shiftLeft(32) + BigInt{static_cast<std::int64_t>(rng() >> 32)};
+  }
+  value = value.shiftRight(value.bitLength() > bits ? value.bitLength() - bits : 0);
+  return value.bitLength() == bits ? value : value + pow2(bits - 1);
+}
+
+TEST(BigInt, GcdMatchesEuclidOracleMultiLimb) {
+  // Plain Euclid on %: the oracle shares no code with the Lehmer loop.
+  const auto euclid = [](BigInt x, BigInt y) {
+    x = x.abs();
+    y = y.abs();
+    while (!y.isZero()) {
+      BigInt remainder = x % y;
+      x = std::move(y);
+      y = std::move(remainder);
+    }
+    return x;
+  };
+  std::mt19937_64 rng(23);
+  const auto check = [&](const BigInt& a, const BigInt& b) {
+    const BigInt expected = euclid(a, b);
+    EXPECT_EQ(BigInt::gcd(a, b), expected) << a << " " << b;
+    EXPECT_EQ(BigInt::gcd(b, a), expected) << b << " " << a;
+    EXPECT_EQ(BigInt::gcd(-a, b), expected);
+    EXPECT_EQ(BigInt::gcd(a, -b), expected);
+    EXPECT_EQ(BigInt::gcd(-a, -b), expected);
+  };
+  const std::size_t sizes[] = {65, 96, 127, 128, 200, 511, 1000, 2048};
+  for (const std::size_t bitsA : sizes) {
+    for (const std::size_t bitsB : sizes) {
+      // Coprime-ish random operands, equal and very unequal sizes.
+      check(randomBits(rng, bitsA), randomBits(rng, bitsB));
+      // A shared factor of 1-8 limbs.
+      const BigInt g = randomBits(rng, 32 * (1 + rng() % 8));
+      const BigInt a = g * randomBits(rng, bitsA);
+      const BigInt b = g * randomBits(rng, bitsB);
+      check(a, b);
+      // One operand divides the other.
+      check(a, a * randomBits(rng, bitsB));
+    }
+    const BigInt a = randomBits(rng, bitsA);
+    check(a, BigInt{0});
+    check(a, a);
+    check(a, BigInt{1});
+    check(a, BigInt{static_cast<std::int64_t>(rng() >> 1)});
+  }
+  // Consecutive Fibonacci numbers: every Euclid quotient is 1, the longest
+  // remainder sequence for their size.
+  BigInt previous{1};
+  BigInt current{1};
+  for (int i = 0; i < 2000; ++i) {
+    BigInt next = previous + current;
+    previous = std::move(current);
+    current = std::move(next);
+  }
+  check(current, previous);
+  check(current * previous, previous * previous);
+  // Values one below and above powers of two, around the limb boundaries.
+  for (const std::size_t bits : {64, 95, 96, 97, 128, 1024}) {
+    check(pow2(bits) - BigInt{1}, pow2(bits) + BigInt{1});
+    check(pow2(bits) - BigInt{1}, pow2(bits / 2) - BigInt{1});
+  }
+}
+
 TEST(BigInt, ToDoubleAccuracy) {
   EXPECT_DOUBLE_EQ(BigInt{0}.toDouble(), 0.0);
   EXPECT_DOUBLE_EQ(BigInt{12345}.toDouble(), 12345.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <complex>
 #include <random>
 
@@ -84,6 +85,49 @@ TEST(QOmega, CanonicalFormIsUniquePerValue) {
     // Multiply numerator by 2 and bump k twice.
     const QOmega doubled{x.num().scaled(BigInt{2}), x.k() + 2, x.den()};
     EXPECT_EQ(doubled, x);
+  }
+}
+
+TEST(QOmega, ContentGcdCancelsExactCommonFactor) {
+  // Every case keeps den odd and the numerator off the sqrt2 parity
+  // criterion, so step (c) alone decides the canonical form: divide the four
+  // coefficients and den by their exact gcd.  Each case runs at word size
+  // and, scaled by a large odd M, on the multi-limb path.
+  struct Case {
+    std::array<std::int64_t, 4> coefficients;
+    std::int64_t den;
+    std::array<std::int64_t, 4> expectedCoefficients;
+    std::int64_t expectedDen;
+  };
+  const Case cases[] = {
+      // The common factor shrinks at the last coefficient: 15, 15, 15, then 3.
+      {{15, 30, 45, 3}, 15, {5, 10, 15, 1}, 5},
+      {{-15, 30, -45, 3}, 15, {-5, 10, -15, 1}, 5},
+      // den is coprime to the first coefficient: nothing cancels, although
+      // the other three share den's content.
+      {{7, 30, 45, 15}, 15, {7, 30, 45, 15}, 15},
+      // Zero coefficients leave the running gcd unchanged.
+      {{0, 3, 0, 6}, 9, {0, 1, 0, 2}, 3},
+      // den divides every coefficient: the result is dyadic.
+      {{15, 30, 60, 0}, 15, {1, 2, 4, 0}, 1},
+      // Shrinks at the second coefficient and stops shrinking there.
+      {{45, 9, 27, 18}, 45, {5, 1, 3, 2}, 5},
+  };
+  const auto zomega = [](const std::array<std::int64_t, 4>& c, const BigInt& scale) {
+    return ZOmega{BigInt{c[0]} * scale, BigInt{c[1]} * scale, BigInt{c[2]} * scale,
+                  BigInt{c[3]} * scale};
+  };
+  const BigInt wordScale{1};
+  const BigInt mersenne61 = pow2(61) - BigInt{1};
+  const BigInt mersenne127 = pow2(127) - BigInt{1};
+  for (const Case& c : cases) {
+    for (const BigInt& scale : {wordScale, mersenne61, mersenne127}) {
+      const QOmega value{zomega(c.coefficients, scale), 3, BigInt{c.den} * scale};
+      EXPECT_EQ(value.num(), zomega(c.expectedCoefficients, BigInt{1}))
+          << "den " << c.den << " scale " << scale;
+      EXPECT_EQ(value.den(), BigInt{c.expectedDen}) << "den " << c.den << " scale " << scale;
+      EXPECT_EQ(value.k(), 3);
+    }
   }
 }
 
