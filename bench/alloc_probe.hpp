@@ -13,6 +13,8 @@
 /// allocs_per_op = 0, flagged by kProbeActive = false).
 #pragma once
 
+#include <benchmark/benchmark.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +47,24 @@ inline constexpr bool kProbeActive = false;
 [[nodiscard]] inline std::uint64_t allocationCount() noexcept { return 0; }
 
 #endif
+
+/// Attaches allocs/op of a benchmark's timed loop as the `allocs_per_op`
+/// counter: construct it right before the loop.
+struct AllocScope {
+  explicit AllocScope(benchmark::State& state) : state_(state), start_(allocationCount()) {}
+  ~AllocScope() {
+    const auto total = allocationCount() - start_;
+    state_.counters["allocs_per_op"] =
+        state_.iterations() == 0
+            ? 0.0
+            : static_cast<double>(total) / static_cast<double>(state_.iterations());
+  }
+  AllocScope(const AllocScope&) = delete;
+  AllocScope& operator=(const AllocScope&) = delete;
+
+  benchmark::State& state_;
+  std::uint64_t start_;
+};
 
 } // namespace qadd::benchprobe
 

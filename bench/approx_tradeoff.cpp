@@ -1,10 +1,13 @@
 /// \file approx_tradeoff.cpp
 /// Accuracy-vs-compactness trade-off of the fidelity-bounded approximation
 /// engine (docs/APPROXIMATION.md): simulates Grover (24 qubits), GSE and BWT
-/// once exactly under the eps = 0 numeric system and once with the PerGate
-/// policy at a cumulative fidelity target of 0.9, and writes
+/// once exactly under the eps = 0 numeric system, once with the PerGate
+/// policy at a cumulative fidelity target of 0.9, and once unpruned at
+/// eps = 1e-10 — the stronger baseline, since tolerance unification alone
+/// already merges the round-off duplicates that blow up eps = 0 — and writes
 /// BENCH_approx.json with the peak/final diagram sizes, the achieved
-/// fidelity and the pruned-node counts of each run.
+/// fidelity and the pruned-node counts of each run, plus the time PerGate
+/// pruning costs over the tolerance run (`pruneOverhead`).
 ///
 /// Enforced gates (exit 1 on failure): on the Grover workload the
 /// approximated run must peak at least 5x fewer state nodes than the exact
@@ -50,9 +53,9 @@ struct Run {
   double seconds = 0.0;
 };
 
-Run simulate(const qc::Circuit& circuit, const dd::ApproxSpec& approx) {
+Run simulate(const qc::Circuit& circuit, const dd::ApproxSpec& approx, double epsilon = 0.0) {
   qc::Simulator<dd::NumericSystem> simulator(
-      circuit, {0.0, dd::NumericSystem::Normalization::LeftmostNonzero});
+      circuit, {epsilon, dd::NumericSystem::Normalization::LeftmostNonzero});
   if (approx.active()) {
     simulator.setApproximation(approx);
   }
@@ -71,6 +74,12 @@ struct Workload {
   qc::Circuit circuit;
   Run exact;
   Run approx;
+  Run tolerance; ///< unpruned eps = 1e-10
+
+  /// Wall time of PerGate pruning relative to the unpruned tolerance run.
+  [[nodiscard]] double pruneOverhead() const {
+    return tolerance.seconds > 0.0 ? approx.seconds / tolerance.seconds : 0.0;
+  }
 
   [[nodiscard]] double nodeReduction() const {
     return approx.peakNodes > 0 ? static_cast<double>(exact.peakNodes) /
@@ -91,11 +100,15 @@ void emitWorkload(std::ofstream& os, const Workload& w, bool last) {
      << "      \"exactFinalNodes\": " << w.exact.finalNodes << ",\n"
      << "      \"approxNodes\": " << w.approx.peakNodes << ",\n"
      << "      \"approxFinalNodes\": " << w.approx.finalNodes << ",\n"
+     << "      \"toleranceNodes\": " << w.tolerance.peakNodes << ",\n"
+     << "      \"toleranceFinalNodes\": " << w.tolerance.finalNodes << ",\n"
      << "      \"nodeReduction\": " << w.nodeReduction() << ",\n"
      << "      \"achievedFidelity\": " << w.approx.fidelity << ",\n"
      << "      \"prunedNodes\": " << w.approx.prunedNodes << ",\n"
      << "      \"exactSeconds\": " << w.exact.seconds << ",\n"
      << "      \"approxSeconds\": " << w.approx.seconds << ",\n"
+     << "      \"toleranceSeconds\": " << w.tolerance.seconds << ",\n"
+     << "      \"pruneOverhead\": " << w.pruneOverhead() << ",\n"
      << "      \"nodeGatePassed\": " << (w.nodeGatePassed() ? "true" : "false") << ",\n"
      << "      \"fidelityGatePassed\": " << (w.fidelityGatePassed() ? "true" : "false") << "\n"
      << "    }" << (last ? "\n" : ",\n");
@@ -116,10 +129,11 @@ int main(int argc, char** argv) {
   // optimal iteration count at 24 qubits (~3200) is far out of reach for the
   // exact eps = 0 run — which is the point of the approximation engine.
   const dd::ApproxSpec approx{1.0 - kFidelityTarget, dd::ApproxPolicy::PerGate};
+  constexpr double kToleranceEpsilon = 1e-10;
   std::vector<Workload> workloads;
-  workloads.push_back({"grover", algos::grover({24, (1ULL << 24) / 3, 2}), {}, {}});
-  workloads.push_back({"gse", algos::gseRotationCircuit({6, 8, 1.0, 0}), {}, {}});
-  workloads.push_back({"bwt", algos::bwt({4, 10}), {}, {}});
+  workloads.push_back({"grover", algos::grover({24, (1ULL << 24) / 3, 2}), {}, {}, {}});
+  workloads.push_back({"gse", algos::gseRotationCircuit({6, 8, 1.0, 0}), {}, {}, {}});
+  workloads.push_back({"bwt", algos::bwt({4, 10}), {}, {}, {}});
 
   std::cout << "== approx_tradeoff: exact eps=0 vs PerGate pruning at fidelity "
             << kFidelityTarget << " ==\n";
@@ -128,12 +142,15 @@ int main(int argc, char** argv) {
   for (Workload& w : workloads) {
     w.exact = simulate(w.circuit, {});
     w.approx = simulate(w.circuit, approx);
+    w.tolerance = simulate(w.circuit, {}, kToleranceEpsilon);
     std::cout << std::fixed << std::setprecision(2) << w.name << " (n=" << w.circuit.qubits()
               << ", " << w.circuit.size() << " gates): peak " << w.exact.peakNodes << " vs "
               << w.approx.peakNodes << " nodes (" << w.nodeReduction() << "x), fidelity "
               << std::setprecision(6) << w.approx.fidelity << ", " << w.approx.prunedNodes
               << " nodes pruned, " << std::setprecision(2) << w.exact.seconds << " s vs "
-              << w.approx.seconds << " s\n";
+              << w.approx.seconds << " s (unpruned eps=1e-10: " << w.tolerance.peakNodes
+              << " peak nodes, " << w.tolerance.seconds << " s; prune overhead "
+              << w.pruneOverhead() << "x)\n";
     if (!w.fidelityGatePassed()) {
       fidelityGatePassed = false;
       std::cerr << "FAIL: " << w.name << " achieved fidelity " << std::setprecision(6)
@@ -149,7 +166,7 @@ int main(int argc, char** argv) {
   std::ofstream os("BENCH_approx.json");
   os << std::setprecision(6) << std::fixed;
   os << "{\n  \"bench\": \"approx_tradeoff\",\n"
-     << "  \"workload\": \"Grover/GSE/BWT, exact eps=0 vs PerGate pruning\",\n"
+     << "  \"workload\": \"Grover/GSE/BWT, exact eps=0 vs PerGate pruning vs unpruned eps=1e-10\",\n"
      << "  \"fidelityTarget\": " << kFidelityTarget << ",\n"
      << "  \"nodeGatePassed\": " << (nodeGatePassed ? "true" : "false") << ",\n"
      << "  \"fidelityGatePassed\": " << (fidelityGatePassed ? "true" : "false") << ",\n"

@@ -30,6 +30,7 @@ namespace {
 using qadd::BigInt;
 using qadd::alg::QOmega;
 using qadd::alg::ZOmega;
+using qadd::benchprobe::AllocScope;
 
 BigInt randomBigInt(std::mt19937_64& rng, int limbs) {
   BigInt value{static_cast<std::int64_t>(rng() | 1)};
@@ -39,21 +40,6 @@ BigInt randomBigInt(std::mt19937_64& rng, int limbs) {
   }
   return value;
 }
-
-/// allocs/op of the timed loop, attached as a benchmark counter.
-struct AllocScope {
-  explicit AllocScope(benchmark::State& state)
-      : state_(state), start_(qadd::benchprobe::allocationCount()) {}
-  ~AllocScope() {
-    const auto total = qadd::benchprobe::allocationCount() - start_;
-    state_.counters["allocs_per_op"] =
-        state_.iterations() == 0
-            ? 0.0
-            : static_cast<double>(total) / static_cast<double>(state_.iterations());
-  }
-  benchmark::State& state_;
-  std::uint64_t start_;
-};
 
 void BM_BigIntAdd(benchmark::State& state) {
   std::mt19937_64 rng(3);

@@ -9,7 +9,11 @@
 /// BENCH_obs.json telemetry snapshot (counters + timings of a fixed
 /// reference workload) so future performance PRs have a baseline to diff
 /// against, and a BENCH_io.json snapshot-layer report (QDDS save/load
-/// throughput plus the fig3-style reference-cache speedup).
+/// throughput plus the fig3-style reference-cache speedup).  The prune
+/// benchmarks report allocs_per_op through the operator-new probe.
+#include "alloc_probe.hpp"
+
+#include "algorithms/bwt.hpp"
 #include "algorithms/common.hpp"
 #include "algorithms/grover.hpp"
 #include "core/algebraic_system.hpp"
@@ -129,6 +133,48 @@ template <class System> void BM_InnerProduct(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_InnerProduct, dd::NumericSystem)->Arg(12);
 BENCHMARK_TEMPLATE(BM_InnerProduct, dd::AlgebraicSystem)->Arg(12);
+
+/// Fidelity-bounded pruning on the walk the num-sweep PerGate point runs
+/// (BWT depth 5, 8 steps, ε = 1e-10, target fidelity 0.9).
+qc::Circuit pruneWorkload() { return algos::bwt({5, 8}); }
+dd::NumericSystem::Config pruneConfig() {
+  return {1e-10, dd::NumericSystem::Normalization::LeftmostNonzero};
+}
+
+/// A prune whose budget is below every contribution — what most PerGate
+/// calls are.  Steady state: the package's prune scratch is warm, so the
+/// call must not allocate.
+void BM_PruneNoop(benchmark::State& state) {
+  qc::Simulator<dd::NumericSystem> simulator(pruneWorkload(), pruneConfig());
+  simulator.run();
+  auto& package = simulator.package();
+  constexpr double kBudget = 1e-300;
+  if (package.prune(simulator.state(), kBudget).edgesPruned != 0) {
+    state.SkipWithError("the budget pruned an edge");
+    return;
+  }
+  state.counters["nodes"] = static_cast<double>(simulator.stateNodes());
+  benchprobe::AllocScope allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(package.prune(simulator.state(), kBudget));
+  }
+}
+BENCHMARK(BM_PruneNoop);
+
+/// The whole PerGate run: simulation plus one prune per gate.
+void BM_PrunePerGateBwt(benchmark::State& state) {
+  const qc::Circuit circuit = pruneWorkload();
+  benchprobe::AllocScope allocs(state);
+  for (auto _ : state) {
+    qc::Simulator<dd::NumericSystem> simulator(circuit, pruneConfig());
+    simulator.setApproximation({0.1, dd::ApproxPolicy::PerGate});
+    simulator.run();
+    benchmark::DoNotOptimize(simulator.state());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(circuit.size()) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PrunePerGateBwt)->Unit(benchmark::kMillisecond);
 
 /// A nontrivial Grover final state to serialize (rich weight set, deep DD).
 qc::Circuit snapshotWorkload(qc::Qubit nqubits) {

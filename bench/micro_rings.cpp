@@ -20,21 +20,7 @@ namespace {
 using namespace qadd;
 using alg::QOmega;
 using alg::ZOmega;
-
-/// Attach allocs/op of the timed loop as a benchmark counter.
-struct AllocScope {
-  explicit AllocScope(benchmark::State& state)
-      : state_(state), start_(benchprobe::allocationCount()) {}
-  ~AllocScope() {
-    const auto total = benchprobe::allocationCount() - start_;
-    state_.counters["allocs_per_op"] =
-        state_.iterations() == 0
-            ? 0.0
-            : static_cast<double>(total) / static_cast<double>(state_.iterations());
-  }
-  benchmark::State& state_;
-  std::uint64_t start_;
-};
+using benchprobe::AllocScope;
 
 ZOmega randomZOmega(std::mt19937_64& rng, int bound) {
   std::uniform_int_distribution<std::int64_t> d(-bound, bound);

@@ -17,7 +17,11 @@
 ///    (add-operand canonicalization);
 ///  - `visit`: a visit-epoch mark enabling allocation-free traversals
 ///    (node counting, export) — a node is "seen" iff its mark equals the
-///    package's current traversal epoch.
+///    package's current traversal epoch.  Package::prune reserves a whole
+///    range of epochs instead and stores `base + ordinal` (the node's DFS
+///    preorder number); a node is numbered in that call iff its mark is
+///    >= base.  Marks never exceed the package's current epoch afterwards,
+///    so both uses coexist.  Read and written only by Package.
 #pragma once
 
 #include <array>
@@ -71,7 +75,7 @@ template <class WeightT, std::size_t N> struct Node {
   Qubit var = 0;
   std::uint32_t ref = 0;
   std::uint64_t seq = 0;           ///< per-package insert serial (stable operand order)
-  mutable std::uint64_t visit = 0; ///< visit-epoch mark (traversal bookkeeping)
+  mutable std::uint64_t visit = 0; ///< visit-epoch mark, or prune's base + ordinal
 };
 
 namespace detail {

@@ -57,13 +57,10 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 namespace qadd::dd {
@@ -586,6 +583,11 @@ public:
   /// edges become the zero vector), which keeps it canonical: snapshots of a
   /// pruned state round-trip byte-identically.  Numeric systems only — the
   /// algebraic system is exact by contract and throws std::logic_error.
+  ///
+  /// Cost: every per-node quantity lives in package-owned vectors indexed by
+  /// the preorder ordinal (see PruneScratch), so a call allocates nothing
+  /// once the scratch has grown to the diagram, and a call whose budget is
+  /// below every contribution ends after the two passes.
   [[nodiscard]] PruneResult prune(const VEdge& root, double fidelityBudget) {
     if constexpr (System::kExact) {
       (void)root;
@@ -595,80 +597,77 @@ public:
     } else {
       PruneResult result;
       result.edge = root;
-      result.nodesBefore = countNodes(root);
-      result.nodesAfter = result.nodesBefore;
       if (fidelityBudget <= 0.0 || root.isTerminal() || system_.isZero(root.w)) {
+        result.nodesBefore = countNodes(root);
+        result.nodesAfter = result.nodesBefore;
         return result;
       }
+      PruneScratch& s = pruneScratch_;
 
-      const auto weightNorm2 = [this](Weight w) { return std::norm(system_.toComplex(w)); };
-
-      // Upward pass: squared subtree norms, plus a DFS preorder ordinal per
-      // node (the structural tie-break; Node::seq would depend on the
-      // package's allocation history).
-      std::unordered_map<const VNode*, double> norm2;
-      std::unordered_map<const VNode*, std::size_t> ordinal;
-      std::vector<const VNode*> preorder;
-      const std::function<double(const VNode*)> subtreeNorm2 =
-          [&](const VNode* node) -> double {
-        if (node == nullptr) {
-          return 1.0; // terminal
-        }
-        if (const auto it = norm2.find(node); it != norm2.end()) {
-          return it->second;
-        }
-        ordinal.emplace(node, preorder.size());
-        preorder.push_back(node);
-        double sum = 0.0;
-        for (const VEdge& child : node->e) {
-          if (!system_.isZero(child.w)) {
-            sum += weightNorm2(child.w) * subtreeNorm2(child.node);
-          }
-        }
-        norm2.emplace(node, sum);
-        return sum;
-      };
-      subtreeNorm2(root.node);
+      // Upward pass: number the nodes in DFS preorder and compute squared
+      // subtree norms.  The ordinal is stored as node->visit = base + ordinal
+      // in a range of visit epochs reserved up front (no diagram has more
+      // nodes than the arena holds), so every later traversal's epoch is
+      // fresh even if this call throws.
+      s.base = visitEpoch_ + 1;
+      visitEpoch_ += 1 + std::get<ArityTables<VNode>>(tables_).mem.inUse();
+      s.preorder.clear();
+      s.norm2.clear();
+      (void)pruneNumber(root.node);
+      const std::size_t count = s.preorder.size();
+      assert(s.base + count <= visitEpoch_ + 1);
+      result.nodesBefore = count;
+      result.nodesAfter = count;
 
       // Downward pass in variable order (vector DDs are quasi-reduced, so
-      // var-ascending is topological): accumulate the in-mass of every node
-      // and emit one candidate per non-zero child edge.
-      std::vector<const VNode*> topo = preorder;
-      std::stable_sort(topo.begin(), topo.end(),
-                       [](const VNode* a, const VNode* b) { return a->var < b->var; });
-      struct Candidate {
-        double contribution;
-        std::size_t ordinal;
-        std::size_t slot;
-        const VNode* node;
-      };
-      std::unordered_map<const VNode*, double> inMass;
-      inMass.reserve(topo.size());
-      inMass.emplace(root.node, weightNorm2(root.w));
-      std::vector<Candidate> candidates;
-      candidates.reserve(2 * topo.size());
-      for (const VNode* node : topo) {
-        const double in = inMass[node];
+      // var-ascending is topological): a stable counting sort of the
+      // preorder by var, then accumulate the in-mass of every node and emit
+      // the candidates.  A candidate above the whole budget can never be
+      // selected (the greedy scan stops at contribution > budget - spent,
+      // spent >= 0), so it is dropped before sorting.
+      s.varStart.assign(nqubits_ + 1, 0);
+      for (const VNode* node : s.preorder) {
+        ++s.varStart[node->var + 1];
+      }
+      for (Qubit var = 0; var < nqubits_; ++var) {
+        s.varStart[var + 1] += s.varStart[var];
+      }
+      s.topo.resize(count);
+      for (std::size_t ordinal = 0; ordinal < count; ++ordinal) {
+        s.topo[s.varStart[s.preorder[ordinal]->var]++] = ordinal;
+      }
+      s.inMass.assign(count, 0.0);
+      s.inMass[0] = weightNorm2(root.w);
+      s.candidates.clear();
+      for (const std::size_t ordinal : s.topo) {
+        const VNode* node = s.preorder[ordinal];
+        const double in = s.inMass[ordinal];
         for (std::size_t slot = 0; slot < 2; ++slot) {
           const VEdge& child = node->e[slot];
           if (system_.isZero(child.w)) {
             continue;
           }
           const double share = in * weightNorm2(child.w);
-          const double childNorm2 = child.isTerminal() ? 1.0 : norm2[child.node];
-          candidates.push_back({share * childNorm2, ordinal[node], slot, node});
+          const double childNorm2 = child.isTerminal() ? 1.0 : s.norm2[pruneOrdinal(child.node)];
+          const double contribution = share * childNorm2;
+          if (!(contribution > fidelityBudget)) {
+            s.candidates.push_back({contribution, ordinal, slot});
+          }
           if (!child.isTerminal()) {
-            inMass[child.node] += share;
+            s.inMass[pruneOrdinal(child.node)] += share;
           }
         }
+      }
+      if (s.candidates.empty()) {
+        return result;
       }
 
       // Greedy selection, cheapest contributions first.  Candidates ascend,
       // so the first one that no longer fits ends the scan.  Overlap (an
       // edge inside an already-selected subtree) only double-counts spent
       // mass, which errs on the conservative side of the fidelity bound.
-      std::sort(candidates.begin(), candidates.end(),
-                [](const Candidate& a, const Candidate& b) {
+      std::sort(s.candidates.begin(), s.candidates.end(),
+                [](const PruneCandidate& a, const PruneCandidate& b) {
                   if (a.contribution != b.contribution) {
                     return a.contribution < b.contribution;
                   }
@@ -678,82 +677,30 @@ public:
                   return a.slot < b.slot;
                 });
       double spent = 0.0;
-      std::unordered_map<const VNode*, unsigned> prunedSlots;
+      s.flags.assign(count, 0);
       std::size_t edgesPruned = 0;
-      for (const Candidate& candidate : candidates) {
+      for (const PruneCandidate& candidate : s.candidates) {
         if (candidate.contribution > fidelityBudget - spent) {
           break;
         }
         spent += candidate.contribution;
-        prunedSlots[candidate.node] |= 1U << candidate.slot;
+        s.flags[candidate.ordinal] |= static_cast<std::uint8_t>(1U << candidate.slot);
         ++edgesPruned;
       }
       if (edgesPruned == 0) {
         return result;
       }
 
-      // Rebuild the surviving diagram bottom-up through makeVNode, memoized
-      // per original node, so the pruned state is canonical like any other.
-      const auto isZeroEdge = [this](const VEdge& e) {
-        return e.node == nullptr && system_.isZero(e.w);
-      };
-      std::unordered_map<const VNode*, VEdge> rebuiltCache;
-      const std::function<VEdge(const VNode*)> rebuild = [&](const VNode* node) -> VEdge {
-        if (const auto it = rebuiltCache.find(node); it != rebuiltCache.end()) {
-          return it->second;
-        }
-        unsigned mask = 0;
-        if (const auto it = prunedSlots.find(node); it != prunedSlots.end()) {
-          mask = it->second;
-        }
-        std::array<VEdge, 2> children;
-        for (std::size_t slot = 0; slot < 2; ++slot) {
-          const VEdge& child = node->e[slot];
-          if (((mask >> slot) & 1U) != 0 || system_.isZero(child.w)) {
-            children[slot] = zeroVector();
-          } else if (child.isTerminal()) {
-            children[slot] = child;
-          } else {
-            const VEdge sub = rebuild(child.node);
-            children[slot] = {sub.node, system_.mul(child.w, sub.w), sub.var};
-          }
-        }
-        const VEdge replacement = isZeroEdge(children[0]) && isZeroEdge(children[1])
-                                      ? zeroVector()
-                                      : makeVNode(node->var, children);
-        rebuiltCache.emplace(node, replacement);
-        return replacement;
-      };
-      const VEdge rebuiltRoot = rebuild(root.node);
+      // Rebuild the surviving diagram (and measure it) bottom-up.
+      s.rebuilt.resize(count);
+      s.rawNorm2.resize(count);
+      s.overlap.resize(count);
+      const VEdge rebuiltRoot = pruneRebuild(root.node);
       VEdge pruned{rebuiltRoot.node, system_.mul(root.w, rebuiltRoot.w), rebuiltRoot.var};
-      if (isZeroEdge(pruned)) {
+      if (pruned.node == nullptr && system_.isZero(pruned.w)) {
         return result; // budget covered the whole state — nothing to renormalize
       }
-
-      // Measure the remaining mass and the overlap with the input in raw
-      // double arithmetic, NOT through innerProduct: under an ε-unified
-      // weight system every mul/add result snaps to a table entry within ε,
-      // which distorts exactly the O(budget)-sized quantities measured here
-      // and (observed on Grover at ε = 1e-5) doubles the reported loss.
-      std::unordered_map<const VNode*, double> rawNorm2;
-      const std::function<double(const VNode*)> rawSubtreeNorm2 =
-          [&](const VNode* node) -> double {
-        if (node == nullptr) {
-          return 1.0;
-        }
-        if (const auto it = rawNorm2.find(node); it != rawNorm2.end()) {
-          return it->second;
-        }
-        double sum = 0.0;
-        for (const VEdge& child : node->e) {
-          if (!system_.isZero(child.w)) {
-            sum += weightNorm2(child.w) * rawSubtreeNorm2(child.node);
-          }
-        }
-        rawNorm2.emplace(node, sum);
-        return sum;
-      };
-      const double remaining = weightNorm2(pruned.w) * rawSubtreeNorm2(pruned.node);
+      const double remaining = weightNorm2(pruned.w) * s.rawNorm2[0];
       if (!(remaining > 0.0)) {
         return result;
       }
@@ -762,36 +709,8 @@ public:
       const Float scale =
           static_cast<Float>(1) / static_cast<Float>(std::sqrt(remaining));
       pruned.w = system_.fromValue({rootValue.re * scale, rootValue.im * scale});
-
-      // Raw-double overlap <pruned|root>, memoized over node pairs (lockstep
-      // recursion is valid: both diagrams are quasi-reduced over the same
-      // variables).
-      std::map<std::pair<const VNode*, const VNode*>, std::complex<double>> overlapCache;
-      const std::function<std::complex<double>(const VNode*, const VNode*)> nodeOverlap =
-          [&](const VNode* a, const VNode* b) -> std::complex<double> {
-        if (a == nullptr || b == nullptr) {
-          return 1.0;
-        }
-        const auto key = std::make_pair(a, b);
-        if (const auto it = overlapCache.find(key); it != overlapCache.end()) {
-          return it->second;
-        }
-        std::complex<double> sum = 0.0;
-        for (std::size_t i = 0; i < 2; ++i) {
-          const VEdge& ae = a->e[i];
-          const VEdge& be = b->e[i];
-          if (system_.isZero(ae.w) || system_.isZero(be.w)) {
-            continue;
-          }
-          sum += std::conj(system_.toComplex(ae.w)) * system_.toComplex(be.w) *
-                 nodeOverlap(ae.node, be.node);
-        }
-        overlapCache.emplace(key, sum);
-        return sum;
-      };
-      const std::complex<double> overlap = std::conj(system_.toComplex(pruned.w)) *
-                                           system_.toComplex(root.w) *
-                                           nodeOverlap(pruned.node, root.node);
+      const std::complex<double> overlap =
+          std::conj(system_.toComplex(pruned.w)) * system_.toComplex(root.w) * s.overlap[0];
 
       result.edge = pruned;
       result.budgetSpent = spent;
@@ -1307,6 +1226,130 @@ private:
     return count;
   }
 
+  // -- prune() bookkeeping (allocation-free, ordinal-indexed) --------------------
+
+  /// One prunable (node, slot) edge.  Sorted by (contribution, ordinal,
+  /// slot), a total order over the edges of one diagram.
+  struct PruneCandidate {
+    double contribution;
+    std::size_t ordinal;
+    std::size_t slot;
+  };
+
+  /// Per-call storage of prune(), reused across calls: every vector is
+  /// indexed by a node's DFS-preorder ordinal (node->visit - base) and keeps
+  /// its capacity, so prune allocates only while a diagram is larger than
+  /// any pruned before.
+  struct PruneScratch {
+    static constexpr std::uint8_t kRebuilt = 4; ///< flags: bits 0/1 = pruned slots
+
+    std::uint64_t base = 0;                 ///< visit epoch of ordinal 0
+    std::vector<const VNode*> preorder;     ///< ordinal -> node
+    std::vector<double> norm2;              ///< squared subtree norm of the input
+    std::vector<std::size_t> varStart;      ///< counting-sort buckets by var
+    std::vector<std::size_t> topo;          ///< ordinals, var-ascending (stable)
+    std::vector<double> inMass;             ///< squared root-to-node path mass
+    std::vector<PruneCandidate> candidates; ///< edges within the budget
+    std::vector<std::uint8_t> flags;        ///< pruned slots + kRebuilt
+    std::vector<VEdge> rebuilt;             ///< the node's surviving replacement
+    std::vector<double> rawNorm2;           ///< squared norm of rebuilt[ordinal].node
+    std::vector<std::complex<double>> overlap; ///< <rebuilt[ordinal].node|node>
+  };
+
+  [[nodiscard]] double weightNorm2(Weight w) const { return std::norm(system_.toComplex(w)); }
+
+  /// Ordinal of a node numbered by the current prune() call.
+  [[nodiscard]] std::size_t pruneOrdinal(const VNode* node) const {
+    assert(node->visit >= pruneScratch_.base);
+    return static_cast<std::size_t>(node->visit - pruneScratch_.base);
+  }
+
+  /// prune()'s upward pass: number `node` and its unnumbered descendants in
+  /// DFS preorder and return the squared subtree norm.  A node is numbered
+  /// in this call iff its visit mark is at least `base`: all earlier marks
+  /// are older epochs.
+  double pruneNumber(const VNode* node) {
+    if (node == nullptr) {
+      return 1.0; // terminal
+    }
+    PruneScratch& s = pruneScratch_;
+    if (node->visit >= s.base) {
+      return s.norm2[pruneOrdinal(node)];
+    }
+    const std::size_t ordinal = s.preorder.size();
+    node->visit = s.base + ordinal;
+    s.preorder.push_back(node);
+    s.norm2.push_back(0.0);
+    double sum = 0.0;
+    for (const VEdge& child : node->e) {
+      if (!system_.isZero(child.w)) {
+        sum += weightNorm2(child.w) * pruneNumber(child.node);
+      }
+    }
+    s.norm2[ordinal] = sum;
+    return sum;
+  }
+
+  /// prune()'s rebuild, memoized per original node: the node with its
+  /// pruned slots redirected to the zero vector, through makeVNode so the
+  /// result is canonical.  Alongside, in raw double arithmetic (NOT through
+  /// the weight table: under an ε-unified system every mul/add snaps to an
+  /// entry within ε, which distorts exactly the O(budget)-sized quantities
+  /// measured here — observed on Grover at ε = 1e-5 as a doubled loss), the
+  /// squared norm of the replacement node and its overlap with the original.
+  /// Every child of a replacement is the replacement of the original child,
+  /// so both recurse through the original node's ordinal.
+  VEdge pruneRebuild(const VNode* node) {
+    PruneScratch& s = pruneScratch_;
+    const std::size_t ordinal = pruneOrdinal(node);
+    if ((s.flags[ordinal] & PruneScratch::kRebuilt) != 0) {
+      return s.rebuilt[ordinal];
+    }
+    const unsigned mask = s.flags[ordinal];
+    std::array<VEdge, 2> children;
+    for (std::size_t slot = 0; slot < 2; ++slot) {
+      const VEdge& child = node->e[slot];
+      if (((mask >> slot) & 1U) != 0 || system_.isZero(child.w)) {
+        children[slot] = zeroVector();
+      } else if (child.isTerminal()) {
+        children[slot] = child;
+      } else {
+        const VEdge sub = pruneRebuild(child.node);
+        children[slot] = {sub.node, system_.mul(child.w, sub.w), sub.var};
+      }
+    }
+    const auto isZeroEdge = [this](const VEdge& e) {
+      return e.node == nullptr && system_.isZero(e.w);
+    };
+    const VEdge replacement = isZeroEdge(children[0]) && isZeroEdge(children[1])
+                                  ? zeroVector()
+                                  : makeVNode(node->var, children);
+    double norm2 = 0.0;
+    std::complex<double> overlap = 0.0;
+    if (replacement.node != nullptr) {
+      for (std::size_t slot = 0; slot < 2; ++slot) {
+        const VEdge& kept = replacement.node->e[slot];
+        const VEdge& input = node->e[slot];
+        if (system_.isZero(kept.w)) {
+          continue;
+        }
+        assert(kept.node == nullptr ||
+               kept.node == s.rebuilt[pruneOrdinal(input.node)].node);
+        const bool terminal = kept.node == nullptr || input.node == nullptr;
+        norm2 += weightNorm2(kept.w) * (terminal ? 1.0 : s.rawNorm2[pruneOrdinal(input.node)]);
+        if (!system_.isZero(input.w)) {
+          overlap += std::conj(system_.toComplex(kept.w)) * system_.toComplex(input.w) *
+                     (terminal ? std::complex<double>(1.0) : s.overlap[pruneOrdinal(input.node)]);
+        }
+      }
+    }
+    s.flags[ordinal] |= PruneScratch::kRebuilt;
+    s.rebuilt[ordinal] = replacement;
+    s.rawNorm2[ordinal] = norm2;
+    s.overlap[ordinal] = overlap;
+    return replacement;
+  }
+
   /// Bottom-up construction for makeStateFromWeights: the DD over variables
   /// [var, n) representing the amplitude block `amplitudes`.
   [[nodiscard]] VEdge buildStateRange(Qubit var, std::span<const Weight> amplitudes) {
@@ -1383,6 +1426,7 @@ private:
   bool skipIdentities_ = true; ///< Config::skipIdentities (matrix skip edges)
 
   mutable std::uint64_t visitEpoch_ = 0; ///< current traversal generation
+  PruneScratch pruneScratch_;            ///< prune()'s reusable per-node storage
 
   ComputedTable<NodeKey, MEdge, kUnaryCacheEntries> transposeCache_;
   ComputedTable<NodePairKey, Weight, kInnerCacheEntries> innerCache_;

@@ -175,6 +175,7 @@ private:
   static constexpr ComplexRef kZeroRef = 0;
   static constexpr ComplexRef kOneRef = 1;
   static constexpr FloatT kMinCell = static_cast<FloatT>(0x1p-40);
+  static constexpr std::int64_t kFarCell = -(std::int64_t{1} << 62) - 2; ///< see cellIndex
 
   struct CellKey {
     std::int64_t x;
@@ -215,8 +216,18 @@ private:
   }
 
   [[nodiscard]] CellKey cellOf(Value value) const {
-    return {static_cast<std::int64_t>(std::floor(static_cast<double>(value.re / cell_))),
-            static_cast<std::int64_t>(std::floor(static_cast<double>(value.im / cell_)))};
+    return {cellIndex(value.re), cellIndex(value.im)};
+  }
+  /// Grid coordinate of one component.  A component whose cell index lies
+  /// beyond ±2^62 (a huge weight — PerGate pruning at ε > 0 produces them —
+  /// or a non-finite one) goes to one sentinel cell instead, so the int64
+  /// conversion and the ±1 neighbour probes in lookup() stay defined.
+  [[nodiscard]] std::int64_t cellIndex(FloatT component) const {
+    const auto scaled = static_cast<double>(component / cell_);
+    if (scaled >= -0x1p62 && scaled < 0x1p62) [[likely]] {
+      return static_cast<std::int64_t>(std::floor(scaled));
+    }
+    return kFarCell;
   }
 
   FloatT epsilon_;

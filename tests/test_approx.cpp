@@ -5,6 +5,7 @@
 /// canonicalization of pruned states through QDDS round trips, the serve
 /// protocol-v2 knobs (including the exactness-contract 400 on algebraic
 /// sessions), and the accuracyError off-unit-reference regression.
+#include "algorithms/bwt.hpp"
 #include "algorithms/grover.hpp"
 #include "core/algebraic_system.hpp"
 #include "core/approximation.hpp"
@@ -22,8 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <random>
+#include <set>
 #include <span>
 #include <complex>
 #include <memory>
@@ -144,6 +150,284 @@ TEST(ApproxPrune, CountsIntoPackageStats) {
     EXPECT_NE(os.str().find("\"approx\""), std::string::npos);
     EXPECT_NE(os.str().find("\"pruneRuns\""), std::string::npos);
   }
+}
+
+// -- prune's exact output, pinned ---------------------------------------------------
+
+/// 64-bit FNV-1a over a QDDS blob: a compact stand-in for the bytes.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::uint64_t bitsOf(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// A seeded circuit with arbitrary rotation angles (not just Clifford+T), so
+/// the weights — and hence the prune contributions — are irregular.  Uses
+/// only raw mt19937_64 words: the circuit is the same on every platform.
+qc::Circuit seededRotationCircuit(std::uint64_t seed, qc::Qubit nqubits, std::size_t gates) {
+  const qc::GateKind kinds[] = {qc::GateKind::H,  qc::GateKind::T,  qc::GateKind::Rx,
+                                qc::GateKind::Ry, qc::GateKind::Rz, qc::GateKind::X};
+  std::mt19937_64 rng(seed);
+  qc::Circuit circuit(nqubits, "fuzz");
+  for (std::size_t i = 0; i < gates; ++i) {
+    const auto kind = kinds[rng() % std::size(kinds)];
+    const double angle = static_cast<double>(rng() % 1000) * 0.001 * M_PI;
+    const auto target = static_cast<qc::Qubit>(rng() % nqubits);
+    std::vector<qc::ControlSpec> controls;
+    if (const auto control = static_cast<qc::Qubit>(rng() % nqubits);
+        rng() % 2 == 0 && control != target) {
+      controls.push_back({control, true});
+    }
+    circuit.append({kind, angle, target, std::move(controls)});
+  }
+  return circuit;
+}
+
+qc::Circuit pinnedWorkload(const std::string& name) {
+  if (name == "bwt3") {
+    return algos::bwt({3, 6});
+  }
+  if (name == "grover6") {
+    return algos::grover({6, (1ULL << 6) - 2, 0});
+  }
+  if (name == "grover8") {
+    return algos::grover({8, (1ULL << 8) - 2, 0});
+  }
+  if (name == "fuzzA") {
+    return seededRotationCircuit(20261, 6, 120);
+  }
+  return seededRotationCircuit(40961, 7, 160); // fuzzB
+}
+
+/// One simulator run under a fidelity target of 0.9.
+struct PinnedRun {
+  const char* workload;
+  double epsilon;
+  dd::ApproxPolicy policy;
+  std::uint64_t stateHash;    ///< FNV-1a of the final state's QDDS bytes
+  std::uint64_t fidelityBits; ///< approxFidelity() as IEEE-754 bits
+  std::size_t prunedNodes;    ///< approxPrunedNodes()
+};
+
+/// One call of a direct prune chain (each call prunes the previous result).
+struct PinnedPrune {
+  double budget;
+  std::size_t edgesPruned;
+  std::uint64_t spentBits;
+  std::uint64_t fidelityBits;
+  std::size_t nodesAfter;
+  std::uint64_t stateHash;
+};
+
+const char* policyName(dd::ApproxPolicy policy) {
+  return policy == dd::ApproxPolicy::PerGate ? "PerGate" : "OneShot";
+}
+
+TEST(ApproxPrune, ResultsBitIdenticalToRecordedValues) {
+  using dd::ApproxPolicy;
+  // prune's bookkeeping must not change what it selects or how it measures:
+  // any mismatch here is a behaviour change.  A failure prints the actual
+  // row in table syntax.
+  const PinnedRun runs[] = {
+      {"bwt3", 0.0, ApproxPolicy::PerGate, 0xa5851f00491f9764ULL, 0x3fed02e9781f5e72ULL, 100},
+      {"bwt3", 0.0, ApproxPolicy::OneShot, 0xd782726b94a4c3b8ULL, 0x3fed7ebe1b439f3dULL, 53},
+      {"bwt3", 1e-10, ApproxPolicy::PerGate, 0x5193b0a50e6692b9ULL, 0x3fed115d930578ccULL, 81},
+      {"bwt3", 1e-10, ApproxPolicy::OneShot, 0x5e5accbe8533714eULL, 0x3fed5845c6bd67c1ULL, 51},
+      {"bwt3", 1e-5, ApproxPolicy::PerGate, 0x5c92eac4f89fdf2fULL, 0x3fed0b967063ed84ULL, 77},
+      {"bwt3", 1e-5, ApproxPolicy::OneShot, 0x59a00a1d07d5ccf2ULL, 0x3fed5845c6bd67c1ULL, 51},
+      {"grover6", 0.0, ApproxPolicy::PerGate, 0x284b2f526a2ed254ULL, 0x3fedf832b7d93c52ULL, 67},
+      {"grover6", 0.0, ApproxPolicy::OneShot, 0x580c14ac24819f59ULL, 0x3fefe407a7548427ULL, 52},
+      {"grover6", 1e-10, ApproxPolicy::PerGate, 0xd9cdfd1edc19b0e5ULL, 0x3fedde8c675577c9ULL, 84},
+      {"grover6", 1e-10, ApproxPolicy::OneShot, 0xd9cdfd1edc19b0e5ULL, 0x3fefe407a7548495ULL, 5},
+      {"grover6", 1e-5, ApproxPolicy::PerGate, 0x425637763004b7b8ULL, 0x3feeac902dcbe91aULL, 71},
+      {"grover6", 1e-5, ApproxPolicy::OneShot, 0x425637763004b7b8ULL, 0x3fefe407a7548495ULL, 5},
+      {"grover8", 0.0, ApproxPolicy::PerGate, 0xbd7e57b741ce4b1ULL, 0x3fee12598c4f60f4ULL, 589},
+      {"grover8", 0.0, ApproxPolicy::OneShot, 0xbd7e57b741ce4b1ULL, 0x3fefff90f07216e7ULL, 220},
+      {"grover8", 1e-10, ApproxPolicy::PerGate, 0x4b301b4e486e459ULL, 0x3fec4edcca24081aULL, 247},
+      {"grover8", 1e-10, ApproxPolicy::OneShot, 0xb8c8766314ef03fbULL, 0x3fefff90f0721dd3ULL, 7},
+      {"grover8", 1e-5, ApproxPolicy::PerGate, 0x88cd6c86b5775d01ULL, 0x3fecf5624ca63efaULL, 2460},
+      {"grover8", 1e-5, ApproxPolicy::OneShot, 0x9eb74d5bf50e49aULL, 0x3feffbf03ef7bd7dULL, 7},
+      {"fuzzA", 0.0, ApproxPolicy::PerGate, 0xe8dbf1772de1275aULL, 0x3fed091d04c619fdULL, 100},
+      {"fuzzA", 0.0, ApproxPolicy::OneShot, 0x90714c2e9462d1d5ULL, 0x3feda37957431c62ULL, 17},
+      {"fuzzA", 1e-10, ApproxPolicy::PerGate, 0xcce8e8cd962b3130ULL, 0x3fed1117eaefa2cdULL, 81},
+      {"fuzzA", 1e-10, ApproxPolicy::OneShot, 0x88cb708534fb500fULL, 0x3feda37957431c4dULL, 17},
+      {"fuzzA", 1e-5, ApproxPolicy::PerGate, 0x14428c9c78dff373ULL, 0x3fed0e591867f4c8ULL, 81},
+      {"fuzzA", 1e-5, ApproxPolicy::OneShot, 0xc6e481766a7b4a00ULL, 0x3feda37957431c4dULL, 17},
+      {"fuzzB", 0.0, ApproxPolicy::PerGate, 0xf0d7939734788b1dULL, 0x3fed03da0ecfb0cbULL, 287},
+      {"fuzzB", 0.0, ApproxPolicy::OneShot, 0x5de84918079f987dULL, 0x3fed745561c7e460ULL, 40},
+      {"fuzzB", 1e-10, ApproxPolicy::PerGate, 0x9937b7ba2e68bd49ULL, 0x3fecfa44652ae4a7ULL, 247},
+      {"fuzzB", 1e-10, ApproxPolicy::OneShot, 0x55740e0996e9be90ULL, 0x3fed745561c7e477ULL, 40},
+      {"fuzzB", 1e-5, ApproxPolicy::PerGate, 0x4dcd96ccf6f3850ULL, 0x3fecfb95c4e28700ULL, 241},
+      {"fuzzB", 1e-5, ApproxPolicy::OneShot, 0x3161745badcff9aaULL, 0x3fed74489068837aULL, 40},
+  };
+  for (const PinnedRun& pinned : runs) {
+    auto package = std::make_shared<NumPackage>(
+        static_cast<dd::Qubit>(pinnedWorkload(pinned.workload).qubits()),
+        dd::NumericSystem::Config{pinned.epsilon,
+                                  dd::NumericSystem::Normalization::LeftmostNonzero});
+    NumSimulator simulator(package, pinnedWorkload(pinned.workload));
+    simulator.setApproximation({0.1, pinned.policy});
+    simulator.run();
+    const std::uint64_t hash = fnv1a(io::saveVector(*package, simulator.state()));
+    const std::uint64_t fidelity = bitsOf(simulator.approxFidelity());
+    const std::size_t pruned = simulator.approxPrunedNodes();
+    EXPECT_TRUE(hash == pinned.stateHash && fidelity == pinned.fidelityBits &&
+                pruned == pinned.prunedNodes)
+        << std::hex << "actual: {\"" << pinned.workload << "\", " << pinned.epsilon
+        << ", ApproxPolicy::" << policyName(pinned.policy) << ", 0x" << hash << "ULL, 0x"
+        << fidelity << "ULL, " << std::dec << pruned << "},";
+  }
+
+  const double budgets[] = {1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3};
+  const std::map<std::string, std::vector<PinnedPrune>> chains = {
+      {"bwt3",
+       {
+           {1e-6, 0, 0x0ULL, 0x3ff0000000000000ULL, 112, 0xb108e94618ecfec6ULL},
+           {1e-4, 0, 0x0ULL, 0x3ff0000000000000ULL, 112, 0xb108e94618ecfec6ULL},
+           {1e-3, 5, 0x3f4c6980cbc80becULL, 0x3feff8e59fcd0dd0ULL, 107, 0x516a454f7c1d9db2ULL},
+           {1e-2, 18, 0x3f839c5390e869baULL, 0x3fefb18eb1bc5e5bULL, 91, 0x3a266713b6e8cbddULL},
+           {0.05, 26, 0x3fa8375a6a4275dbULL, 0x3fee8f51ec115876ULL, 65, 0xc57de13e0eff33f0ULL},
+           {0.1, 22, 0x3fb85006eb2bde21ULL, 0x3fecf5ff229a8438ULL, 46, 0x20d6f887638a6328ULL},
+           {0.3, 25, 0x3fd2b21e7b3c3d30ULL, 0x3fe8f1143b9c2c05ULL, 26, 0xa7f8055ac6362873ULL},
+       }},
+      {"grover8",
+       {
+           {1e-6, 4, 0x3eabdfc33d1a4d39ULL, 0x3feffffe4203ca8eULL, 225, 0x98b6c5b327a99823ULL},
+           {1e-4, 314, 0x3f1a13d8931bd58cULL, 0x3fefff92ae6858c2ULL, 8, 0xbd7e57b741ce4b1ULL},
+           {1e-3, 0, 0x0ULL, 0x3ff0000000000000ULL, 8, 0xbd7e57b741ce4b1ULL},
+           {1e-2, 0, 0x0ULL, 0x3ff0000000000000ULL, 8, 0xbd7e57b741ce4b1ULL},
+           {0.05, 0, 0x0ULL, 0x3ff0000000000000ULL, 8, 0xbd7e57b741ce4b1ULL},
+           {0.1, 0, 0x0ULL, 0x3ff0000000000000ULL, 8, 0xbd7e57b741ce4b1ULL},
+           {0.3, 0, 0x0ULL, 0x3ff0000000000000ULL, 8, 0xbd7e57b741ce4b1ULL},
+       }},
+      {"fuzzB",
+       {
+           {1e-6, 0, 0x0ULL, 0x3ff0000000000000ULL, 127, 0xa537a3984b289f7dULL},
+           {1e-4, 2, 0x3f1021ec4f4578a4ULL, 0x3fefff7ef09d859dULL, 126, 0x41c199586687f747ULL},
+           {1e-3, 3, 0x3f45cdb3a68268c5ULL, 0x3feffa8c93165f69ULL, 124, 0xe2f25c2a87c36147ULL},
+           {1e-2, 14, 0x3f837c8986c188fcULL, 0x3fefb20dd9e4f9daULL, 111, 0x821720e31f5fb685ULL},
+           {0.05, 23, 0x3fa8515c67647232ULL, 0x3fee95375647e41aULL, 93, 0x70c4b538951c2371ULL},
+           {0.1, 21, 0x3fb8f273f6e6785bULL, 0x3fece1b1812330f4ULL, 75, 0xc7e4f1b5444006cULL},
+           {0.3, 33, 0x3fd2a98509ea50dbULL, 0x3fe6ab3d7b0ad790ULL, 45, 0x7e87a136f1cb0c1dULL},
+       }},
+  };
+  for (const auto& [workload, expected] : chains) {
+    auto package = std::make_shared<NumPackage>(
+        static_cast<dd::Qubit>(pinnedWorkload(workload).qubits()), dd::NumericSystem::Config{});
+    NumSimulator simulator(package, pinnedWorkload(workload));
+    simulator.run();
+    auto state = simulator.state();
+    for (std::size_t i = 0; i < std::size(budgets); ++i) {
+      const auto result = package->prune(state, budgets[i]);
+      const PinnedPrune actual{budgets[i],
+                               result.edgesPruned,
+                               bitsOf(result.budgetSpent),
+                               bitsOf(result.achievedFidelity),
+                               result.nodesAfter,
+                               fnv1a(io::saveVector(*package, result.edge))};
+      const bool same = i < expected.size() && expected[i].edgesPruned == actual.edgesPruned &&
+                        expected[i].spentBits == actual.spentBits &&
+                        expected[i].fidelityBits == actual.fidelityBits &&
+                        expected[i].nodesAfter == actual.nodesAfter &&
+                        expected[i].stateHash == actual.stateHash;
+      EXPECT_TRUE(same) << workload << std::hex << " actual: {" << budgets[i] << ", " << std::dec
+                        << actual.edgesPruned << ", 0x" << std::hex << actual.spentBits
+                        << "ULL, 0x" << actual.fidelityBits << "ULL, " << std::dec
+                        << actual.nodesAfter << ", 0x" << std::hex << actual.stateHash << "ULL},";
+      state = result.edge;
+    }
+  }
+}
+
+/// Reachable-node count through an explicit visited set — independent of
+/// the package's visit-epoch bookkeeping.
+std::size_t countWithSet(const NumPackage::VEdge& root) {
+  std::set<const NumPackage::VNode*> seen;
+  std::vector<const NumPackage::VNode*> stack;
+  if (root.node != nullptr) {
+    stack.push_back(root.node);
+  }
+  while (!stack.empty()) {
+    const auto* node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node).second) {
+      continue;
+    }
+    for (const auto& child : node->e) {
+      if (child.node != nullptr) {
+        stack.push_back(child.node);
+      }
+    }
+  }
+  return seen.size();
+}
+
+TEST(ApproxPrune, TraversalsStayCorrectAroundPrune) {
+  // prune marks nodes through the package's visit epochs; every traversal
+  // before and after it — node counts, a second prune over shared nodes, and
+  // prunes over nodes recycled by garbage collection — must still count
+  // exactly what an explicit visited set counts.
+  auto package = std::make_shared<NumPackage>(8, dd::NumericSystem::Config{});
+  NumSimulator first(package, algos::grover({8, (1ULL << 8) - 2, 0}));
+  first.run();
+  const auto state = first.state();
+  const auto expectCounts = [&](const NumPackage::VEdge& e, const char* what) {
+    EXPECT_EQ(package->countNodes(e), countWithSet(e)) << what;
+  };
+  expectCounts(state, "input before any prune");
+
+  const auto noop = package->prune(state, 1e-30);
+  ASSERT_EQ(noop.edgesPruned, 0U);
+  EXPECT_EQ(noop.nodesBefore, countWithSet(state));
+  EXPECT_EQ(noop.nodesAfter, noop.nodesBefore);
+  expectCounts(state, "input after a no-op prune");
+
+  const auto pruned = package->prune(state, 0.05);
+  ASSERT_GT(pruned.edgesPruned, 0U);
+  EXPECT_EQ(pruned.nodesBefore, countWithSet(state));
+  EXPECT_EQ(pruned.nodesAfter, countWithSet(pruned.edge));
+  expectCounts(state, "input after a pruning prune");
+  expectCounts(pruned.edge, "pruned state");
+  package->incRef(pruned.edge);
+
+  // A second prune over a diagram that shares nodes with the first input.
+  const auto again = package->prune(pruned.edge, 0.05);
+  EXPECT_EQ(again.nodesBefore, countWithSet(pruned.edge));
+  EXPECT_EQ(again.nodesAfter, countWithSet(again.edge));
+  expectCounts(state, "first input after the second prune");
+  expectCounts(again.edge, "twice-pruned state");
+
+  // Free a whole state's worth of nodes, then build new states out of the
+  // recycled ones (their visit marks are left over from earlier traversals).
+  {
+    NumSimulator scratch(package, seededRotationCircuit(7, 8, 60));
+    scratch.run();
+    (void)package->prune(scratch.state(), 0.05);
+  }
+  const auto report = package->garbageCollect();
+  EXPECT_GT(report.swept, 0U);
+  NumSimulator second(package, seededRotationCircuit(11, 8, 60));
+  second.run();
+  expectCounts(second.state(), "state built from recycled nodes");
+  for (const double budget : {1e-30, 0.02, 0.2}) {
+    const auto result = package->prune(second.state(), budget);
+    EXPECT_EQ(result.nodesBefore, countWithSet(second.state())) << budget;
+    EXPECT_EQ(result.nodesAfter, countWithSet(result.edge)) << budget;
+    expectCounts(state, "first input between prunes");
+    expectCounts(pruned.edge, "pruned state between prunes");
+  }
+
+  // The selection depends on the diagram only, not on the traversal history.
+  const auto repeat = package->prune(state, 0.05);
+  EXPECT_EQ(repeat.edge, pruned.edge);
+  EXPECT_EQ(repeat.edgesPruned, pruned.edgesPruned);
+  EXPECT_EQ(bitsOf(repeat.budgetSpent), bitsOf(pruned.budgetSpent));
+  EXPECT_EQ(bitsOf(repeat.achievedFidelity), bitsOf(pruned.achievedFidelity));
+  package->decRef(pruned.edge);
 }
 
 TEST(ApproxPrune, AlgebraicPackageRefuses) {

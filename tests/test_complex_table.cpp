@@ -62,6 +62,25 @@ TEST(ComplexTable, NegativeCoordinatesAndCellBoundaries) {
   EXPECT_EQ(a, b);
 }
 
+TEST(ComplexTable, ValuesBeyondTheGridRange) {
+  // |value| / cell beyond the int64 grid (PerGate pruning at ε > 0 produces
+  // such weights).  They intern, unify with themselves, and stay apart from
+  // each other and from ordinary values; the sanitizer build checks that the
+  // grid arithmetic stays defined.
+  ComplexTable table(1e-10);
+  const double huge = 1e300;
+  const ComplexRef a = table.lookup({huge, 0.0});
+  const ComplexRef b = table.lookup({-huge, 1.0});
+  const ComplexRef c = table.lookup({0.5, huge});
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(b, c);
+  EXPECT_EQ(table.lookup({huge, 0.0}), a);
+  EXPECT_EQ(table.lookup({-huge, 1.0}), b);
+  EXPECT_EQ(table.lookup({0.5, huge}), c);
+  EXPECT_NE(table.lookup({0.5, 0.0}), c);
+}
+
 TEST(ComplexTable, RejectsInvalidEpsilon) {
   EXPECT_THROW(ComplexTable(-1.0), std::invalid_argument);
   EXPECT_THROW(ComplexTable(std::nan("")), std::invalid_argument);

@@ -238,6 +238,7 @@ bool isHardKey(const std::string& path) {
       // approx_tradeoff structural gates (BENCH_approx.json).
       "exactNodes",      "exactFinalNodes", "approxNodes",
       "approxFinalNodes", "nodeReduction",  "prunedNodes",
+      "toleranceNodes",  "toleranceFinalNodes",
       "achievedFidelity", "fidelityTarget", "fidelityGatePassed",
   };
   const std::size_t dot = path.rfind('.');
