@@ -1,11 +1,12 @@
 /// \file exec_sweep.cpp
 /// Before/after series for the parallel ε-sweep executor (qadd::exec): runs
 /// the Fig. 3 numeric tolerance portion — the six ε simulations, each in its
-/// own thread-confined package — once serially (`--jobs 1`, the pre-exec
-/// code path) and once on a worker pool, and writes BENCH_exec.json with the
-/// wall-clock of both plus the speedup.  The per-trace value series are
-/// checked identical between the two runs before the report is written, so
-/// the speedup is never bought with a divergent result.  With at least 4
+/// own thread-confined package — serially (`--jobs 1`, the pre-exec code
+/// path) and on a worker pool, three times each in alternation after a
+/// warm-up, and writes BENCH_exec.json with the best wall-clock of each side
+/// plus the speedup.  The per-trace value series are checked identical
+/// between every serial/parallel pair before the report is written, so the
+/// speedup is never bought with a divergent result.  With at least 4
 /// workers on a host with at least 4 hardware threads the run fails below a
 /// 1.8x speedup; the outcome is reported as `speedupGatePassed` either way.
 ///
@@ -15,10 +16,12 @@
 #include "eval/driver_cli.hpp"
 #include "eval/sweep.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -28,6 +31,8 @@ using namespace qadd;
 
 /// Minimum speedup of the 4-worker sweep over the serial one.
 constexpr double kSpeedupGate = 1.8;
+/// Timed serial/parallel pairs after the warm-up; each side reports its best.
+constexpr int kTimedPairs = 3;
 
 /// The value columns of one trace (everything writeCsv emits except the
 /// wall-clock `seconds` and the address-sensitive `cachehitrate`).
@@ -66,26 +71,33 @@ int main(int argc, char** argv) {
   std::cout << "== exec_sweep: Fig. 3 numeric portion, " << nqubits << " qubits, "
             << circuit.size() << " gates, " << sweep.points.size() << " tolerance runs ==\n";
 
-  // Warm-up run (page cache, lazy allocations), then the measured pair.
+  // Warm-up run (page cache, lazy allocations), then kTimedPairs serial /
+  // parallel pairs, alternating so a noisy stretch of a shared host hits
+  // both sides; each side is timed by its fastest run (min-of-reps, as in
+  // gate_apply), which filters scheduler noise out of the gated speedup.
   (void)eval::runSweep(sweep, nullptr);
-  const eval::SweepResult serial = eval::runSweep(sweep, nullptr);
   exec::ThreadPool pool(cli.jobs);
-  const eval::SweepResult parallel = eval::runSweep(sweep, &pool);
-
-  for (std::size_t i = 0; i < serial.traces.size(); ++i) {
-    if (valueSeries(serial.traces[i]) != valueSeries(parallel.traces[i])) {
-      std::cerr << "FAIL: value series of " << serial.traces[i].label
-                << " differ between --jobs 1 and --jobs " << cli.jobs << "\n";
-      return 1;
+  double serialSeconds = std::numeric_limits<double>::infinity();
+  double parallelSeconds = std::numeric_limits<double>::infinity();
+  for (int pair = 0; pair < kTimedPairs; ++pair) {
+    const eval::SweepResult serial = eval::runSweep(sweep, nullptr);
+    const eval::SweepResult parallel = eval::runSweep(sweep, &pool);
+    for (std::size_t i = 0; i < serial.traces.size(); ++i) {
+      if (valueSeries(serial.traces[i]) != valueSeries(parallel.traces[i])) {
+        std::cerr << "FAIL: value series of " << serial.traces[i].label
+                  << " differ between --jobs 1 and --jobs " << cli.jobs << "\n";
+        return 1;
+      }
     }
+    serialSeconds = std::min(serialSeconds, serial.numericSweepSeconds);
+    parallelSeconds = std::min(parallelSeconds, parallel.numericSweepSeconds);
   }
 
-  const double speedup = parallel.numericSweepSeconds > 0.0
-                             ? serial.numericSweepSeconds / parallel.numericSweepSeconds
-                             : 0.0;
-  std::cout << std::fixed << std::setprecision(3) << "jobs=1: " << serial.numericSweepSeconds
-            << " s\njobs=" << cli.jobs << ": " << parallel.numericSweepSeconds << " s\nspeedup: "
-            << std::setprecision(2) << speedup << "x (value series identical)\n";
+  const double speedup = parallelSeconds > 0.0 ? serialSeconds / parallelSeconds : 0.0;
+  std::cout << std::fixed << std::setprecision(3) << "jobs=1: " << serialSeconds << " s\njobs="
+            << cli.jobs << ": " << parallelSeconds << " s (best of " << kTimedPairs
+            << ")\nspeedup: " << std::setprecision(2) << speedup
+            << "x (value series identical)\n";
   const bool speedupGatePassed = speedup >= kSpeedupGate;
 
   std::ofstream os("BENCH_exec.json");
@@ -95,7 +107,7 @@ int main(int argc, char** argv) {
      << ",\n  \"epsilonRuns\": " << sweep.points.size() << ",\n  \"workers\": " << cli.jobs
      << ",\n  \"speedupGatePassed\": " << (speedupGatePassed ? "true" : "false")
      << ",\n  \"series\": {\n    \"numericSweep\": {\n      \"jobs1Seconds\": "
-     << serial.numericSweepSeconds << ",\n      \"jobsNSeconds\": " << parallel.numericSweepSeconds
+     << serialSeconds << ",\n      \"jobsNSeconds\": " << parallelSeconds
      << ",\n      \"speedup\": " << speedup << ",\n      \"identicalValueSeries\": true\n    }\n"
      << "  }\n}\n";
   std::cout << "report written to BENCH_exec.json\n";

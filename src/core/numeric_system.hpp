@@ -39,10 +39,6 @@ public:
     /// Tolerance epsilon for unifying weights (the paper's central knob).
     double epsilon = 0.0;
     Normalization normalization = Normalization::LeftmostNonzero;
-    /// Auto-GC watermark for the package built on this system: when the live
-    /// node count exceeds this after a decRef, the package garbage-collects.
-    /// 0 disables auto-GC (collections only run on demand).
-    std::size_t gcWatermark = 0;
     /// Represent untouched qubits of matrix DDs implicitly via skip-level
     /// edges (identity collapse in makeNode, skip-emitting makeGate).  On by
     /// default; turning it off restores fully materialized identity towers

@@ -32,8 +32,9 @@
 /// Reference counting: a node holds one reference per parent edge plus any
 /// external references (incRef/decRef).  garbageCollect() invalidates the
 /// operation caches and sweeps ref == 0 nodes; it also auto-triggers from
-/// decRef() when the live node count crosses the configured watermark
-/// (System::Config::gcWatermark, 0 = only on demand).
+/// decRef() when the live node count crosses the watermark set by
+/// setGcWatermark() (0, the default, = only on demand; every qc::Simulator
+/// installs its Options::gcNodeThreshold).
 ///
 /// A package is thread-confined: parallelism lives one level up, where
 /// independent packages run side by side (sweep points, serve sessions; see
@@ -122,8 +123,7 @@ public:
   static constexpr std::size_t kUnaryCacheEntries = std::size_t{1} << 12U;
 
   explicit Package(Qubit nqubits, typename System::Config config = {})
-      : nqubits_(nqubits), system_(config), gcWatermark_(config.gcWatermark),
-        skipIdentities_(config.skipIdentities) {
+      : nqubits_(nqubits), system_(config), skipIdentities_(config.skipIdentities) {
     if (system_.memoizationOrderDependent()) {
       // A recomputed result could differ from the cached one (tolerance-mode
       // interning): keep every memoized result so nothing is ever recomputed.
@@ -230,8 +230,7 @@ public:
     return false;
   }
 
-  /// Watermark for auto-GC (0 disables); initialized from
-  /// System::Config::gcWatermark.
+  /// Watermark for auto-GC (0, the default, disables).
   void setGcWatermark(std::size_t watermark) { gcWatermark_ = watermark; }
   [[nodiscard]] std::size_t gcWatermark() const { return gcWatermark_; }
   /// Collections run so far (manual + auto); always maintained, even with

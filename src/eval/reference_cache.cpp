@@ -167,7 +167,7 @@ CachedAlgebraicReference traceAlgebraicCached(const qc::Circuit& circuit,
   }
   TraceOptions computeOptions = options;
   computeOptions.captureFinalState = true;
-  result.trace = traceAlgebraic(circuit, computeOptions, {}, &result.trajectory);
+  result.trace = traceAlgebraic(circuit, computeOptions, &result.trajectory);
   result.finalState = result.trace.finalStateSnapshot;
   const auto start = Clock::now();
   io::writeBytesFile(cachePath, encodeReference(circuit, options, result.trace,

@@ -43,8 +43,7 @@ SweepResult runSweep(const SweepSpec& spec, exec::ThreadPool* pool) {
     break;
   case ReferencePolicy::Inline: {
     const auto referenceSpan = obs::Tracer::global().span("reference", "eval");
-    SimulationTrace algebraic =
-        traceAlgebraic(spec.circuit, spec.options, {}, &result.trajectory);
+    SimulationTrace algebraic = traceAlgebraic(spec.circuit, spec.options, &result.trajectory);
     trajectory = &result.trajectory;
     if (spec.includeAlgebraicTrace) {
       result.traces.push_back(std::move(algebraic));

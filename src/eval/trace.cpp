@@ -7,9 +7,9 @@
 #include "qc/simulator.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 namespace qadd::eval {
 
@@ -26,52 +26,37 @@ std::string checkpointPath(const TraceOptions& options, std::size_t applied) {
   return options.checkpointPathPrefix + std::to_string(applied) + ".qckp";
 }
 
-template <class Simulator>
-void finishTrace(SimulationTrace& trace, const Simulator& simulator) {
-  trace.finalNodes = simulator.stateNodes();
-  trace.peakNodes = simulator.package().peakNodes();
-  trace.collapsedToZero = simulator.package().system().isZero(simulator.state().w);
-  trace.finalStats = simulator.package().stats();
-  for (const auto& event : simulator.gcEvents()) {
-    trace.gcEvents.push_back(
-        {event.gateIndex, event.report.swept, event.report.liveAfter, event.report.seconds});
-  }
-}
+/// The exact plane records the reference trajectory; numeric planes read it.
+template <class System>
+using ReferenceFor =
+    std::conditional_t<System::kExact, ReferenceTrajectory, const ReferenceTrajectory>;
 
-/// End-of-run timeline sample of one series (Kind::Point): taken right next
-/// to the finalStats snapshot, so its gauges match the --stats counters of
-/// the run exactly.
-template <class Simulator>
-void recordTimelinePoint(const SimulationTrace& trace, const Simulator& simulator,
-                         double epsilon) {
-  if (auto& timeline = obs::Timeline::global(); timeline.enabled()) {
-    obs::Timeline::Sample sample;
-    sample.kind = obs::Timeline::Kind::Point;
-    sample.series = trace.label;
-    sample.epsilon = epsilon;
-    sample.gateIndex = simulator.gateIndex();
-    simulator.package().sampleTimeline(sample);
-    timeline.record(std::move(sample));
-  }
-}
-
-} // namespace
-
-SimulationTrace traceAlgebraic(const qc::Circuit& circuit, const TraceOptions& options,
-                               dd::AlgebraicSystem::Config config,
-                               ReferenceTrajectory* reference) {
-  qc::Simulator<dd::AlgebraicSystem> simulator(circuit, config);
+/// The one trace loop of both weight planes.  Steps `simulator` to the end of
+/// its circuit, sampling every options.sampleEvery gates (and after the last
+/// one) with the clock paused.  The exact plane records the reference
+/// amplitudes at each sample (its own error is 0 by construction); a numeric
+/// plane measures its error against them (NaN where no sample exists).
+template <class System>
+SimulationTrace traceWith(qc::Simulator<System>& simulator, std::string label, double epsilon,
+                          ReferenceFor<System>* reference, const TraceOptions& options) {
   SimulationTrace trace;
-  trace.label = simulator.package().system().describe();
-  const auto traceSpan = obs::Tracer::global().span("traceAlgebraic", "eval");
+  trace.label = std::move(label);
+  const auto traceSpan =
+      obs::Tracer::global().span(System::kExact ? "traceAlgebraic" : "traceNumeric", "eval");
   // Per-gate timeline samples recorded by the simulator carry this series'
-  // label (ε = 0: exact) while the context is open.
-  const obs::Timeline::ScopedSeries timelineSeries(trace.label, 0.0);
-  if (reference != nullptr) {
-    reference->sampleEvery = options.sampleEvery;
-    reference->samples.clear();
+  // label and ε while the context is open.
+  const obs::Timeline::ScopedSeries timelineSeries(trace.label, epsilon);
+  if constexpr (System::kExact) {
+    if (reference != nullptr) {
+      reference->sampleEvery = options.sampleEvery;
+      reference->samples.clear();
+    }
   }
-  const bool amplitudesFeasible = circuit.qubits() <= options.maxQubitsForAmplitudes;
+  const std::size_t gates = simulator.circuit().size();
+  const bool amplitudesFeasible =
+      simulator.circuit().qubits() <= options.maxQubitsForAmplitudes;
+  std::size_t sampleOrdinal = 0;
+  double lastError = System::kExact ? 0.0 : std::numeric_limits<double>::quiet_NaN();
 
   double accumulated = 0.0;
   auto start = Clock::now();
@@ -79,82 +64,11 @@ SimulationTrace traceAlgebraic(const qc::Circuit& circuit, const TraceOptions& o
     const std::size_t applied = simulator.gateIndex();
     const bool checkpointDue =
         options.checkpointEvery != 0 && applied % options.checkpointEvery == 0;
-    const bool sampleDue = applied % options.sampleEvery == 0 || applied == circuit.size();
+    const bool sampleDue = applied % options.sampleEvery == 0 || applied == gates;
     if (!checkpointDue && !sampleDue) {
       continue;
     }
     accumulated += secondsSince(start); // pause the clock during sampling/checkpointing
-    if (checkpointDue) {
-      simulator.saveCheckpointFile(checkpointPath(options, applied));
-    }
-    if (sampleDue) {
-      const auto sampleSpan = obs::Tracer::global().span("sample", "eval");
-      TracePoint point;
-      point.gateIndex = applied;
-      point.nodes = simulator.stateNodes();
-      point.seconds = accumulated;
-      point.error = 0.0; // exact by construction
-      point.maxBits = simulator.package().system().maxBits();
-      point.peakNodes = simulator.package().peakNodes();
-      point.cacheHitRate = simulator.package().counters().combinedCacheHitRate();
-      point.tableFill = simulator.package().system().distinctValues();
-      trace.points.push_back(point);
-      if (reference != nullptr && amplitudesFeasible) {
-        reference->samples.push_back(simulator.package().amplitudes(simulator.state()));
-      }
-    }
-    start = Clock::now();
-  }
-  accumulated += secondsSince(start);
-  trace.totalSeconds = accumulated;
-  trace.finalError = 0.0;
-  if (options.captureFinalState) {
-    trace.finalStateSnapshot = io::saveVector(simulator.package(), simulator.state());
-  }
-  finishTrace(trace, simulator);
-  recordTimelinePoint(trace, simulator, 0.0);
-  return trace;
-}
-
-namespace {
-
-/// Shared body of traceNumeric/traceNumericExtended/traceRun, generic over
-/// the numeric system's float width.
-template <class System>
-SimulationTrace traceNumericT(const qc::Circuit& circuit, double epsilon,
-                              const ReferenceTrajectory* reference, const TraceOptions& options,
-                              typename System::Normalization normalization,
-                              const char* labelPrefix, const dd::ApproxSpec& approx = {}) {
-  qc::Simulator<System> simulator(circuit, {epsilon, normalization});
-  simulator.setApproximation(approx);
-  SimulationTrace trace;
-  {
-    std::ostringstream label;
-    label << labelPrefix << epsilon;
-    if (approx.active()) {
-      // No commas (labels are CSV cells); target fidelity reads better than
-      // the budget in plots.
-      label << " approx=" << dd::approxPolicyName(approx.policy) << ":f" << 1.0 - approx.budget;
-    }
-    trace.label = label.str();
-  }
-  const auto traceSpan = obs::Tracer::global().span("traceNumeric", "eval");
-  const obs::Timeline::ScopedSeries timelineSeries(trace.label, epsilon);
-  const bool amplitudesFeasible = circuit.qubits() <= options.maxQubitsForAmplitudes;
-  std::size_t sampleOrdinal = 0;
-
-  double accumulated = 0.0;
-  double lastError = std::numeric_limits<double>::quiet_NaN();
-  auto start = Clock::now();
-  while (simulator.step()) {
-    const std::size_t applied = simulator.gateIndex();
-    const bool checkpointDue =
-        options.checkpointEvery != 0 && applied % options.checkpointEvery == 0;
-    const bool sampleDue = applied % options.sampleEvery == 0 || applied == circuit.size();
-    if (!checkpointDue && !sampleDue) {
-      continue;
-    }
-    accumulated += secondsSince(start);
     if (checkpointDue) {
       simulator.saveCheckpointFile(checkpointPath(options, applied));
     }
@@ -170,14 +84,20 @@ SimulationTrace traceNumericT(const qc::Circuit& circuit, double epsilon,
       point.tableFill = simulator.package().system().distinctValues();
       point.fidelity = simulator.approxFidelity();
       point.prunedNodes = simulator.approxPrunedNodes();
-      point.error = std::numeric_limits<double>::quiet_NaN();
-      if (reference != nullptr && amplitudesFeasible &&
-          sampleOrdinal < reference->samples.size()) {
-        const auto numericAmplitudes = simulator.package().amplitudes(simulator.state());
-        point.error = accuracyError(numericAmplitudes, reference->samples[sampleOrdinal]);
-        lastError = point.error;
+      if constexpr (System::kExact) {
+        if (reference != nullptr && amplitudesFeasible) {
+          reference->samples.push_back(simulator.package().amplitudes(simulator.state()));
+        }
+      } else {
+        point.error = std::numeric_limits<double>::quiet_NaN();
+        if (reference != nullptr && amplitudesFeasible &&
+            sampleOrdinal < reference->samples.size()) {
+          const auto numericAmplitudes = simulator.package().amplitudes(simulator.state());
+          point.error = accuracyError(numericAmplitudes, reference->samples[sampleOrdinal]);
+          lastError = point.error;
+        }
+        ++sampleOrdinal;
       }
-      ++sampleOrdinal;
       trace.points.push_back(point);
     }
     start = Clock::now();
@@ -190,41 +110,56 @@ SimulationTrace traceNumericT(const qc::Circuit& circuit, double epsilon,
   if (options.captureFinalState) {
     trace.finalStateSnapshot = io::saveVector(simulator.package(), simulator.state());
   }
-  finishTrace(trace, simulator);
-  recordTimelinePoint(trace, simulator, epsilon);
+  trace.finalNodes = simulator.stateNodes();
+  trace.peakNodes = simulator.package().peakNodes();
+  trace.collapsedToZero = simulator.package().system().isZero(simulator.state().w);
+  trace.finalStats = simulator.package().stats();
+  for (const auto& event : simulator.gcEvents()) {
+    trace.gcEvents.push_back(
+        {event.gateIndex, event.report.swept, event.report.liveAfter, event.report.seconds});
+  }
+  // End-of-run timeline sample of the series (Kind::Point), taken right next
+  // to the finalStats snapshot so its gauges match the run's --stats counters.
+  if (auto& timeline = obs::Timeline::global(); timeline.enabled()) {
+    obs::Timeline::Sample sample;
+    sample.kind = obs::Timeline::Kind::Point;
+    sample.series = trace.label;
+    sample.epsilon = epsilon;
+    sample.gateIndex = simulator.gateIndex();
+    simulator.package().sampleTimeline(sample);
+    timeline.record(std::move(sample));
+  }
   return trace;
 }
 
 } // namespace
 
-SimulationTrace traceNumeric(const qc::Circuit& circuit, double epsilon,
-                             const ReferenceTrajectory* reference, const TraceOptions& options,
-                             dd::NumericSystem::Normalization normalization) {
-  return traceNumericT<dd::NumericSystem>(circuit, epsilon, reference, options, normalization,
-                                          "numeric eps=");
-}
-
-SimulationTrace traceNumericExtended(const qc::Circuit& circuit, double epsilon,
-                                     const ReferenceTrajectory* reference,
-                                     const TraceOptions& options,
-                                     dd::NumericSystem::Normalization normalization) {
-  return traceNumericT<dd::ExtendedNumericSystem>(
-      circuit, epsilon, reference, options,
-      static_cast<dd::ExtendedNumericSystem::Normalization>(static_cast<int>(normalization)),
-      "numeric-ext eps=");
+SimulationTrace traceAlgebraic(const qc::Circuit& circuit, const TraceOptions& options,
+                               ReferenceTrajectory* reference) {
+  qc::Simulator<dd::AlgebraicSystem> simulator(circuit);
+  return traceWith(simulator, simulator.package().system().describe(), 0.0, reference, options);
 }
 
 SimulationTrace traceRun(const qc::Circuit& circuit, const RunSpec& spec,
                          const ReferenceTrajectory* reference, const TraceOptions& options,
                          dd::NumericSystem::Normalization normalization) {
-  if (spec.extendedPrecision) {
-    return traceNumericT<dd::ExtendedNumericSystem>(
-        circuit, spec.epsilon, reference, options,
-        static_cast<dd::ExtendedNumericSystem::Normalization>(static_cast<int>(normalization)),
-        "numeric-ext eps=", spec.approx);
+  std::ostringstream label;
+  label << (spec.extendedPrecision ? "numeric-ext eps=" : "numeric eps=") << spec.epsilon;
+  if (spec.approx.active()) {
+    // No commas (labels are CSV cells); target fidelity reads better than
+    // the budget in plots.
+    label << " approx=" << dd::approxPolicyName(spec.approx.policy) << ":f"
+          << 1.0 - spec.approx.budget;
   }
-  return traceNumericT<dd::NumericSystem>(circuit, spec.epsilon, reference, options,
-                                          normalization, "numeric eps=", spec.approx);
+  const auto run = [&]<class System>(std::type_identity<System>) {
+    qc::Simulator<System> simulator(
+        circuit, {spec.epsilon, static_cast<typename System::Normalization>(
+                                    static_cast<int>(normalization))});
+    simulator.setApproximation(spec.approx);
+    return traceWith(simulator, label.str(), spec.epsilon, reference, options);
+  };
+  return spec.extendedPrecision ? run(std::type_identity<dd::ExtendedNumericSystem>{})
+                                : run(std::type_identity<dd::NumericSystem>{});
 }
 
 } // namespace qadd::eval

@@ -5,7 +5,6 @@
 /// representation — the coefficient bit widths that drive its cost.
 #pragma once
 
-#include "core/algebraic_system.hpp"
 #include "core/approximation.hpp"
 #include "core/numeric_system.hpp"
 #include "obs/stats.hpp"
@@ -106,32 +105,17 @@ struct TraceOptions {
 /// Simulate with the exact algebraic QMDD, recording size/time/bit widths and
 /// (optionally) the reference amplitude trajectory for later accuracy
 /// comparisons.
-[[nodiscard]] SimulationTrace
-traceAlgebraic(const qc::Circuit& circuit, const TraceOptions& options = {},
-               dd::AlgebraicSystem::Config config = {}, ReferenceTrajectory* reference = nullptr);
+[[nodiscard]] SimulationTrace traceAlgebraic(const qc::Circuit& circuit,
+                                             const TraceOptions& options = {},
+                                             ReferenceTrajectory* reference = nullptr);
 
-/// Simulate with the numerical QMDD at tolerance `epsilon`, measuring the
-/// accuracy against `reference` at each sample point (pass nullptr to skip).
-[[nodiscard]] SimulationTrace
-traceNumeric(const qc::Circuit& circuit, double epsilon, const ReferenceTrajectory* reference,
-             const TraceOptions& options = {},
-             dd::NumericSystem::Normalization normalization =
-                 dd::NumericSystem::Normalization::LeftmostNonzero);
-
-/// traceNumeric() on the extended-precision (long double) numeric system —
-/// Section V-A's "scale up the mantissa" experiment as a sweep point.
-[[nodiscard]] SimulationTrace
-traceNumericExtended(const qc::Circuit& circuit, double epsilon,
-                     const ReferenceTrajectory* reference, const TraceOptions& options = {},
-                     dd::NumericSystem::Normalization normalization =
-                         dd::NumericSystem::Normalization::LeftmostNonzero);
-
-/// Trace one RunSpec: dispatches on the precision axis and installs the
-/// spec's approximation policy on the simulator.  The one entry point the
-/// sweep executor and all drivers use; traceNumeric/traceNumericExtended
-/// remain as the spec-free shims.  Labels stay byte-identical to the
-/// historic ones for non-approximated specs ("numeric eps=<ε>"); an active
-/// approx spec appends " approx=<policy>:f<target>".
+/// Trace one RunSpec on the numeric QMDD, measuring the accuracy against
+/// `reference` at each sample point (pass nullptr to skip): dispatches on the
+/// precision axis and installs the spec's approximation policy on the
+/// simulator.  The one numeric entry point the sweep executor and all
+/// drivers use.  Labels read "numeric eps=<ε>" ("numeric-ext eps=<ε>" on the
+/// long-double system); an active approx spec appends
+/// " approx=<policy>:f<target>".
 [[nodiscard]] SimulationTrace
 traceRun(const qc::Circuit& circuit, const RunSpec& spec, const ReferenceTrajectory* reference,
          const TraceOptions& options = {},

@@ -75,4 +75,20 @@ struct CheckpointData {
   return data;
 }
 
+/// True iff the blob is a QCKP checkpoint (vs a bare QDDS snapshot).
+[[nodiscard]] inline bool isCheckpoint(std::span<const std::uint8_t> bytes) {
+  return bytes.size() >= kQckpMagic.size() &&
+         std::equal(kQckpMagic.begin(), kQckpMagic.end(), bytes.begin());
+}
+
+/// The QDDS blob of a file's bytes: a checkpoint is unwrapped to its embedded
+/// state snapshot, anything else passes through unchanged (to be validated
+/// by the snapshot reader).  \throws SnapshotError on a corrupted checkpoint.
+[[nodiscard]] inline std::vector<std::uint8_t> snapshotOf(std::vector<std::uint8_t> bytes) {
+  if (isCheckpoint(bytes)) {
+    return readCheckpoint(bytes).snapshot;
+  }
+  return bytes;
+}
+
 } // namespace qadd::io

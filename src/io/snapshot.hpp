@@ -38,6 +38,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -539,6 +540,38 @@ template <class System>
 loadMatrix(dd::Package<System>& package, std::span<const std::uint8_t> bytes) {
   return detail::loadDd<System, typename dd::Package<System>::MEdge>(package, bytes,
                                                                      DdKind::Matrix);
+}
+
+/// Run `action(package, info)` on a fresh package matching the snapshot's
+/// system meta and return its result: an algebraic package with the stored
+/// normalization, or a numeric one with the stored ε and normalization on the
+/// double or long-double table, whichever has the recorded mantissa width.
+/// The one place that maps a snapshot header to a weight system.  \throws
+/// SnapshotError on corruption or a float width no numeric system here has.
+template <class Action>
+auto withMatchingPackage(std::span<const std::uint8_t> bytes, Action&& action) {
+  const SnapshotInfo info = readInfo(bytes);
+  const auto run = [&]<class System>(std::type_identity<System>) {
+    typename System::Config config;
+    config.normalization = static_cast<typename System::Normalization>(info.normalization);
+    if constexpr (!System::kExact) {
+      config.epsilon = info.epsilon;
+    }
+    dd::Package<System> package(info.qubits, config);
+    return action(package, info);
+  };
+  if (info.system == SystemTag::Algebraic) {
+    return run(std::type_identity<dd::AlgebraicSystem>{});
+  }
+  if (info.floatDigits == std::numeric_limits<double>::digits) {
+    return run(std::type_identity<dd::NumericSystem>{});
+  }
+  if (info.floatDigits == std::numeric_limits<long double>::digits) {
+    return run(std::type_identity<dd::ExtendedNumericSystem>{});
+  }
+  throw SnapshotError("unsupported float precision (" +
+                      std::to_string(static_cast<int>(info.floatDigits)) +
+                      " mantissa bits) on this platform");
 }
 
 // -- algebraic -> numeric conversion ----------------------------------------------

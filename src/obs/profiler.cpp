@@ -1,52 +1,15 @@
 #include "obs/profiler.hpp"
 
-#include "core/algebraic_system.hpp"
 #include "core/export.hpp"
-#include "core/numeric_system.hpp"
 #include "io/snapshot.hpp"
 
 #include <iomanip>
-#include <limits>
 #include <ostream>
 
 namespace qadd::obs {
 
-namespace {
-
-/// Run `action(package, info)` on a fresh package matching the snapshot's
-/// system meta — the same dispatch qadd_snapshot uses.
-template <class Action> auto withMatchingPackage(std::span<const std::uint8_t> bytes, Action&& action) {
-  const io::SnapshotInfo info = io::readInfo(bytes);
-  if (info.system == io::SystemTag::Algebraic) {
-    dd::AlgebraicSystem::Config config;
-    config.normalization = static_cast<dd::AlgebraicSystem::Normalization>(info.normalization);
-    dd::Package<dd::AlgebraicSystem> package(info.qubits, config);
-    return action(package, info);
-  }
-  if (info.floatDigits == std::numeric_limits<double>::digits) {
-    dd::NumericSystem::Config config;
-    config.epsilon = info.epsilon;
-    config.normalization = static_cast<dd::NumericSystem::Normalization>(info.normalization);
-    dd::Package<dd::NumericSystem> package(info.qubits, config);
-    return action(package, info);
-  }
-  if (info.floatDigits == std::numeric_limits<long double>::digits) {
-    dd::ExtendedNumericSystem::Config config;
-    config.epsilon = info.epsilon;
-    config.normalization =
-        static_cast<dd::ExtendedNumericSystem::Normalization>(info.normalization);
-    dd::Package<dd::ExtendedNumericSystem> package(info.qubits, config);
-    return action(package, info);
-  }
-  throw io::SnapshotError("profiler: unsupported float precision (" +
-                          std::to_string(static_cast<int>(info.floatDigits)) +
-                          " mantissa bits) on this platform");
-}
-
-} // namespace
-
 DdProfile profileSnapshot(std::span<const std::uint8_t> bytes) {
-  return withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
+  return io::withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
     if (info.kind == io::DdKind::Vector) {
       return profileDd(package, io::loadVector(package, bytes));
     }
@@ -54,13 +17,8 @@ DdProfile profileSnapshot(std::span<const std::uint8_t> bytes) {
   });
 }
 
-DdProfile profileSnapshotFile(const std::string& path) {
-  const std::vector<std::uint8_t> bytes = io::readBytesFile(path);
-  return profileSnapshot(bytes);
-}
-
 std::string snapshotToDot(std::span<const std::uint8_t> bytes) {
-  return withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
+  return io::withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
     if (info.kind == io::DdKind::Vector) {
       return dd::toDot(package, io::loadVector(package, bytes));
     }

@@ -8,10 +8,10 @@
 /// the nodes, the sharing, and the coefficient blow-up live, not just how
 /// many nodes there are in total.
 ///
-/// Exposed as the qadd_prof CLI (tools/qadd_prof.cpp) and as the
-/// --profile-final flag of the figure drivers.  Profiling is a diagnostic
-/// walk (hash-set visited marking, O(nodes + edges)); it never mutates the
-/// package and is not meant for hot loops.
+/// Exposed as `qadd_snapshot profile|dot|metrics` (tools/qadd_snapshot.cpp)
+/// and as the --profile-final flag of the figure drivers.  Profiling is a
+/// diagnostic walk (hash-set visited marking, O(nodes + edges)); it never
+/// mutates the package and is not meant for hot loops.
 #pragma once
 
 #include "core/package.hpp"
@@ -74,8 +74,8 @@ struct DdProfile {
 /// histograms as arrays).
 void writeProfileJson(std::ostream& os, const DdProfile& profile);
 
-/// Human-readable per-level table (the qadd_prof / --profile-final console
-/// rendering).
+/// Human-readable per-level table (the `qadd_snapshot profile` /
+/// --profile-final console rendering).
 void printProfileTable(std::ostream& os, const DdProfile& profile);
 
 namespace detail {
@@ -185,14 +185,11 @@ template <class System, class EdgeT>
   return profile;
 }
 
-/// Profile a QDDS snapshot (or the snapshot embedded in a QCKP checkpoint):
-/// builds a package matching the snapshot's system meta (algebraic, numeric
-/// double, or numeric long double), loads the diagram through the canonical
-/// qadd::io path, and profiles the rebuilt root.  \throws io::SnapshotError
-/// on corruption or an unsupported float precision.
+/// Profile a QDDS snapshot (unwrap a QCKP checkpoint first with
+/// io::snapshotOf): loads the diagram into a package matching the snapshot's
+/// system meta (io::withMatchingPackage) and profiles the rebuilt root.
+/// \throws io::SnapshotError on corruption or an unsupported float precision.
 [[nodiscard]] DdProfile profileSnapshot(std::span<const std::uint8_t> bytes);
-/// profileSnapshot() straight from a file.
-[[nodiscard]] DdProfile profileSnapshotFile(const std::string& path);
 
 /// Graphviz DOT text of a snapshot's diagram (dd::toDot on the rebuilt
 /// root).  \throws io::SnapshotError like profileSnapshot.

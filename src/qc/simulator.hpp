@@ -285,16 +285,6 @@ public:
     gcEvents_.clear();
   }
 
-  /// resumeFrom() straight from a file.
-  void resumeFromFile(const std::string& path) {
-    const auto bytes = io::readBytesFile(path);
-    resumeFrom(bytes);
-  }
-
-  /// The shared package handle (serving layer: keep the package alive across
-  /// successive per-job simulators of one session).
-  [[nodiscard]] std::shared_ptr<Package> sharedPackage() const { return package_; }
-
 private:
   /// Prune the state per the installed policy.  Runs after every gate for
   /// PerGate (spending an equal share of the remaining budget over the

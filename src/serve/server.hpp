@@ -77,7 +77,6 @@ public:
   void waitShutdown();
 
   [[nodiscard]] const ServerCounters& counters() const { return counters_; }
-  [[nodiscard]] SessionManager& sessionManager() { return *sessions_; }
   [[nodiscard]] JobQueue& jobQueue() { return *queue_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
 

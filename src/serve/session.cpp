@@ -24,7 +24,7 @@ public:
   using Package = dd::Package<System>;
   using Simulator = qc::Simulator<System>;
 
-  BackendImpl(const SessionConfig& config, typename System::Config systemConfig)
+  BackendImpl(const SessionConfig& config, typename System::Config systemConfig = {})
       : config_(config),
         package_(std::make_shared<Package>(static_cast<dd::Qubit>(config.qubits), systemConfig)) {}
 
@@ -183,9 +183,7 @@ std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config) 
                        "the algebraic system is exact: fidelity-bounded approximation "
                        "(approx_fidelity/approx_policy) is not supported on \"alg\" sessions");
     }
-    dd::AlgebraicSystem::Config systemConfig;
-    systemConfig.gcWatermark = config.gcWatermark;
-    return std::make_unique<BackendImpl<dd::AlgebraicSystem>>(config, systemConfig);
+    return std::make_unique<BackendImpl<dd::AlgebraicSystem>>(config);
   }
   if (config.system == "num") {
     dd::NumericSystem::Config systemConfig;
@@ -193,7 +191,6 @@ std::unique_ptr<SessionBackend> makeSessionBackend(const SessionConfig& config) 
     systemConfig.normalization = config.maxMagnitudeNormalization
                                      ? dd::NumericSystem::Normalization::MaxMagnitude
                                      : dd::NumericSystem::Normalization::LeftmostNonzero;
-    systemConfig.gcWatermark = config.gcWatermark;
     return std::make_unique<BackendImpl<dd::NumericSystem>>(config, systemConfig);
   }
   throw ServeError(kBadRequest, "unknown weight system '" + config.system +
@@ -282,7 +279,6 @@ void SessionManager::withBackend(Session& session,
       session.lastStats_ = session.backend_->stats();
     }
     session.lastLiveNodes_.store(session.backend_->liveNodes(), std::memory_order_relaxed);
-    session.jobsCompleted_.fetch_add(1, std::memory_order_relaxed);
   }
   enforceWatermark();
 }

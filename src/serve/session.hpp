@@ -118,9 +118,6 @@ public:
   [[nodiscard]] std::size_t lastLiveNodes() const {
     return lastLiveNodes_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t jobsCompleted() const {
-    return jobsCompleted_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] bool persisted() const { return persistedFlag_.load(std::memory_order_relaxed); }
 
 private:
@@ -133,7 +130,6 @@ private:
   std::atomic<bool> persistedFlag_{false};
   std::atomic<std::uint64_t> lastUsedTick_{0};
   std::atomic<std::size_t> lastLiveNodes_{0};
-  std::atomic<std::uint64_t> jobsCompleted_{0};
   mutable std::mutex statsMutex_;
   obs::PackageStats lastStats_;
 };

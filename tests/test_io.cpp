@@ -16,7 +16,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
+#include <string>
+#include <type_traits>
 
 namespace qadd {
 namespace {
@@ -333,6 +336,97 @@ TEST(QddsSnapshot, ConvertVectorPreservesState) {
                io::SnapshotError);
 }
 
+// -- matching-package loader ------------------------------------------------------
+
+/// Which weight system io::withMatchingPackage chose, with the configuration
+/// it built and the node count of the diagram loaded into it.
+struct Matched {
+  std::string system;
+  double epsilon = 0.0;
+  int normalization = 0;
+  std::size_t nodes = 0;
+};
+
+Matched matchSnapshot(std::span<const std::uint8_t> bytes) {
+  return io::withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo&) {
+    using System = std::decay_t<decltype(package.system())>;
+    Matched matched;
+    if constexpr (std::is_same_v<System, dd::ExtendedNumericSystem>) {
+      matched.system = "long double";
+    } else if constexpr (std::is_same_v<System, NumericSystem>) {
+      matched.system = "double";
+    } else {
+      matched.system = "algebraic";
+    }
+    if constexpr (!System::kExact) {
+      matched.epsilon = package.system().config().epsilon;
+    }
+    matched.normalization = static_cast<int>(package.system().config().normalization);
+    matched.nodes = package.countNodes(io::loadVector(package, bytes));
+    return matched;
+  });
+}
+
+TEST(SnapshotLoader, PicksTheMatchingSystem) {
+  qc::Simulator<AlgebraicSystem> algebraic(ghzCircuit(5),
+                                           {AlgebraicSystem::Normalization::GcdDOmega});
+  algebraic.run();
+  const Matched alg = matchSnapshot(io::saveVector(algebraic.package(), algebraic.state()));
+  EXPECT_EQ(alg.system, "algebraic");
+  EXPECT_EQ(alg.normalization, static_cast<int>(AlgebraicSystem::Normalization::GcdDOmega));
+  EXPECT_EQ(alg.nodes, algebraic.stateNodes());
+
+  qc::Simulator<NumericSystem> numeric(ghzCircuit(5),
+                                       {1e-10, NumericSystem::Normalization::MaxMagnitude});
+  numeric.run();
+  const Matched num = matchSnapshot(io::saveVector(numeric.package(), numeric.state()));
+  EXPECT_EQ(num.system, "double");
+  EXPECT_EQ(num.epsilon, 1e-10);
+  EXPECT_EQ(num.normalization, static_cast<int>(NumericSystem::Normalization::MaxMagnitude));
+  EXPECT_EQ(num.nodes, numeric.stateNodes());
+
+  qc::Simulator<dd::ExtendedNumericSystem> extended(ghzCircuit(5), {1e-5});
+  extended.run();
+  const Matched ext = matchSnapshot(io::saveVector(extended.package(), extended.state()));
+  EXPECT_EQ(ext.system, std::numeric_limits<long double>::digits ==
+                                std::numeric_limits<double>::digits
+                            ? "double"
+                            : "long double");
+  EXPECT_EQ(ext.epsilon, 1e-5);
+  EXPECT_EQ(ext.nodes, extended.stateNodes());
+}
+
+TEST(SnapshotLoader, UnwrapsCheckpointsAndPassesSnapshotsThrough) {
+  qc::Simulator<AlgebraicSystem> simulator(ghzCircuit(4));
+  simulator.run();
+  const auto snapshot = io::saveVector(simulator.package(), simulator.state());
+  const auto checkpoint = simulator.saveCheckpoint();
+  EXPECT_TRUE(io::isCheckpoint(checkpoint));
+  EXPECT_FALSE(io::isCheckpoint(snapshot));
+  EXPECT_EQ(io::snapshotOf(checkpoint), snapshot);
+  EXPECT_EQ(io::snapshotOf(snapshot), snapshot);
+
+  auto corrupted = checkpoint;
+  corrupted[corrupted.size() / 2] ^= 0x01;
+  EXPECT_THROW((void)io::snapshotOf(corrupted), io::SnapshotError);
+}
+
+TEST(SnapshotLoader, RejectsUnsupportedFloatWidth) {
+  qc::Simulator<NumericSystem> simulator(ghzCircuit(4));
+  simulator.run();
+  auto bytes = io::saveVector(simulator.package(), simulator.state());
+  // The numeric payload opens with the mantissa width; claim a 24-bit float
+  // and re-seal the CRC so that only the width is wrong.
+  bytes[io::kQddsHeaderBytes] = 24;
+  const std::uint32_t crc =
+      io::Crc32::of(std::span<const std::uint8_t>(bytes).first(bytes.size() - 4));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  EXPECT_EQ(io::readInfo(bytes).floatDigits, 24);
+  EXPECT_THROW((void)matchSnapshot(bytes), io::SnapshotError);
+}
+
 // -- QCKP checkpoints -------------------------------------------------------------
 
 TEST(Checkpoint, EnvelopeRoundTrip) {
@@ -392,7 +486,7 @@ TEST(ReferenceCache, EncodeDecodeRoundTrip) {
   options.captureFinalState = true;
 
   eval::ReferenceTrajectory trajectory;
-  const eval::SimulationTrace trace = eval::traceAlgebraic(circuit, options, {}, &trajectory);
+  const eval::SimulationTrace trace = eval::traceAlgebraic(circuit, options, &trajectory);
   ASSERT_FALSE(trace.finalStateSnapshot.empty());
 
   const auto blob =

@@ -450,7 +450,7 @@ TEST(TraceIntegration, TracePointsCarryTelemetryColumns) {
   const qc::Circuit circuit = algos::ghz(5);
   eval::TraceOptions options;
   options.sampleEvery = 2;
-  const eval::SimulationTrace trace = eval::traceNumeric(circuit, 1e-12, nullptr, options);
+  const eval::SimulationTrace trace = eval::traceRun(circuit, {1e-12}, nullptr, options);
   ASSERT_FALSE(trace.points.empty());
   std::size_t lastPeak = 0;
   for (const auto& point : trace.points) {
@@ -517,7 +517,7 @@ TEST(Emitters, TraceCsvHasTelemetryColumns) {
   const qc::Circuit circuit = algos::ghz(3);
   eval::TraceOptions options;
   options.sampleEvery = 1;
-  const eval::SimulationTrace trace = eval::traceNumeric(circuit, 1e-12, nullptr, options);
+  const eval::SimulationTrace trace = eval::traceRun(circuit, {1e-12}, nullptr, options);
   std::ostringstream os;
   eval::writeCsv(os, {trace});
   EXPECT_NE(os.str().find("peaknodes,cachehitrate,tablefill"), std::string::npos);
@@ -539,7 +539,7 @@ TEST(Timeline, FinalPointSampleMatchesEndOfRunStats) {
   const qc::Circuit circuit = algos::ghz(5);
   eval::TraceOptions options;
   options.sampleEvery = 2;
-  const eval::SimulationTrace trace = eval::traceNumeric(circuit, 1e-12, nullptr, options);
+  const eval::SimulationTrace trace = eval::traceRun(circuit, {1e-12}, nullptr, options);
   timeline.setEnabled(false);
 
   const auto samples = timeline.samplesSnapshot();

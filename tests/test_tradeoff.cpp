@@ -28,10 +28,10 @@ const TradeoffData& groverData() {
     const qc::Circuit circuit = algos::grover({7, 0b1011001, 0});
     TraceOptions options;
     options.sampleEvery = 20;
-    d.algebraic = traceAlgebraic(circuit, options, {}, &d.reference);
-    d.exactNumeric = traceNumeric(circuit, 0.0, &d.reference, options);
-    d.moderateNumeric = traceNumeric(circuit, 1e-10, &d.reference, options);
-    d.sloppyNumeric = traceNumeric(circuit, 1e-2, &d.reference, options);
+    d.algebraic = traceAlgebraic(circuit, options, &d.reference);
+    d.exactNumeric = traceRun(circuit, {0.0}, &d.reference, options);
+    d.moderateNumeric = traceRun(circuit, {1e-10}, &d.reference, options);
+    d.sloppyNumeric = traceRun(circuit, {1e-2}, &d.reference, options);
     return d;
   }();
   return data;

@@ -1,71 +1,43 @@
 /// \file qadd_snapshot.cpp
-/// Command-line inspector for QDDS snapshots and QCKP checkpoints:
+/// Command-line inspector and profiler for QDDS snapshots and QCKP
+/// checkpoints:
 ///
 ///   qadd_snapshot info <file>                  header + meta (works on .qckp too)
 ///   qadd_snapshot verify <file>                full CRC + rebuild check
 ///   qadd_snapshot diff <a> <b>                 exact root comparison (exit 1 if different)
 ///   qadd_snapshot convert <in> <out> [eps]     algebraic -> numeric(double, eps) snapshot
 ///   qadd_snapshot write-sample <out> [qubits]  GHZ sample snapshot (CI artifact)
+///   qadd_snapshot profile <file> [--json]      per-level node/edge/sharing table
+///                                              (or the JSON object with --json)
+///   qadd_snapshot dot <file> [--max-nodes N]   Graphviz DOT on stdout (refuses
+///                                              diagrams above N nodes, default
+///                                              256 — DOT is for small DDs)
+///   qadd_snapshot metrics <file>               load into a matching package and
+///                                              render its telemetry in Prometheus
+///                                              text format
 ///
-/// Exit codes: 0 success/identical, 1 diff found, 2 usage error, 3 bad file.
+/// Checkpoints are unwrapped to their embedded state snapshot everywhere.
+/// Exit codes: 0 success/identical, 1 diff found, 2 usage error (or a DOT
+/// request above --max-nodes), 3 bad file.
 #include "io/checkpoint.hpp"
 #include "io/snapshot.hpp"
+#include "obs/exposition.hpp"
+#include "obs/profiler.hpp"
 #include "qc/circuit.hpp"
 #include "qc/simulator.hpp"
 
-#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
-#include <limits>
 #include <string>
 
 namespace {
 
 using namespace qadd;
 
-/// True iff the blob is a QCKP checkpoint (vs a bare QDDS snapshot).
-bool isCheckpoint(std::span<const std::uint8_t> bytes) {
-  return bytes.size() >= io::kQckpMagic.size() &&
-         std::equal(io::kQckpMagic.begin(), io::kQckpMagic.end(), bytes.begin());
-}
-
-/// Extract the QDDS blob: checkpoints are unwrapped, snapshots pass through.
+/// Read a file and unwrap a checkpoint to its embedded QDDS blob.
 std::vector<std::uint8_t> snapshotBytes(const std::string& path) {
-  std::vector<std::uint8_t> bytes = io::readBytesFile(path);
-  if (isCheckpoint(bytes)) {
-    return io::readCheckpoint(bytes).snapshot;
-  }
-  return bytes;
-}
-
-/// Run `action(package, info)` with a package matching the snapshot's system
-/// meta (algebraic, numeric double, or numeric long double).
-template <class Action> int withMatchingPackage(const std::vector<std::uint8_t>& bytes, Action&& action) {
-  const io::SnapshotInfo info = io::readInfo(bytes);
-  if (info.system == io::SystemTag::Algebraic) {
-    dd::AlgebraicSystem::Config config;
-    config.normalization = static_cast<dd::AlgebraicSystem::Normalization>(info.normalization);
-    dd::Package<dd::AlgebraicSystem> package(info.qubits, config);
-    return action(package, info);
-  }
-  if (info.floatDigits == std::numeric_limits<double>::digits) {
-    dd::NumericSystem::Config config;
-    config.epsilon = info.epsilon;
-    config.normalization = static_cast<dd::NumericSystem::Normalization>(info.normalization);
-    dd::Package<dd::NumericSystem> package(info.qubits, config);
-    return action(package, info);
-  }
-  if (info.floatDigits == std::numeric_limits<long double>::digits) {
-    dd::ExtendedNumericSystem::Config config;
-    config.epsilon = info.epsilon;
-    config.normalization =
-        static_cast<dd::ExtendedNumericSystem::Normalization>(info.normalization);
-    dd::Package<dd::ExtendedNumericSystem> package(info.qubits, config);
-    return action(package, info);
-  }
-  std::cerr << "qadd_snapshot: unsupported float precision (" << static_cast<int>(info.floatDigits)
-            << " mantissa bits) on this platform\n";
-  return 3;
+  return io::snapshotOf(io::readBytesFile(path));
 }
 
 /// Load the snapshot's DD (either kind) into `package`; returns the node
@@ -84,7 +56,7 @@ std::size_t loadAndCount(dd::Package<System>& package, const std::vector<std::ui
 int cmdInfo(const std::string& path) {
   std::vector<std::uint8_t> bytes = io::readBytesFile(path);
   std::cout << path << ": ";
-  if (isCheckpoint(bytes)) {
+  if (io::isCheckpoint(bytes)) {
     const io::CheckpointData checkpoint = io::readCheckpoint(bytes);
     const std::string& text = checkpoint.circuitText;
     std::cout << "QCKP checkpoint at gate " << checkpoint.gateIndex << " of circuit \""
@@ -98,7 +70,7 @@ int cmdInfo(const std::string& path) {
 
 int cmdVerify(const std::string& path) {
   const std::vector<std::uint8_t> bytes = snapshotBytes(path);
-  return withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
+  return io::withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
     const std::size_t rebuilt = loadAndCount(package, bytes, info.kind);
     std::cout << path << ": OK — " << info.describe() << "\n";
     std::cout << "  rebuilt canonical DD has " << rebuilt << " nodes ("
@@ -127,7 +99,7 @@ int cmdDiff(const std::string& pathA, const std::string& pathB) {
     return 1;
   }
   // Load both into ONE package: canonicity makes equality a root comparison.
-  return withMatchingPackage(bytesA, [&](auto& package, const io::SnapshotInfo& info) {
+  return io::withMatchingPackage(bytesA, [&](auto& package, const io::SnapshotInfo& info) {
     if (info.kind == io::DdKind::Vector) {
       const auto rootA = io::loadVector(package, bytesA);
       package.incRef(rootA);
@@ -200,12 +172,57 @@ int cmdWriteSample(const std::string& outPath, qc::Qubit nqubits) {
   return 0;
 }
 
+int cmdProfile(const std::string& path, bool json) {
+  const std::vector<std::uint8_t> bytes = snapshotBytes(path);
+  const obs::DdProfile profile = obs::profileSnapshot(bytes);
+  if (json) {
+    obs::writeProfileJson(std::cout, profile);
+  } else {
+    std::cout << path << ": " << io::readInfo(bytes).describe() << "\n";
+    obs::printProfileTable(std::cout, profile);
+  }
+  return 0;
+}
+
+int cmdDot(const std::string& path, std::size_t maxNodes) {
+  const std::vector<std::uint8_t> bytes = snapshotBytes(path);
+  const io::SnapshotInfo info = io::readInfo(bytes);
+  if (info.nodeCount > maxNodes) {
+    std::cerr << "qadd_snapshot: " << path << " has " << info.nodeCount
+              << " nodes; refusing to render DOT above " << maxNodes
+              << " (raise with --max-nodes)\n";
+    return 2;
+  }
+  std::cout << obs::snapshotToDot(bytes);
+  return 0;
+}
+
+/// Load the snapshot into a fresh matching package and render that package's
+/// telemetry (io counters, live nodes, weight-table view) in Prometheus text
+/// format.
+int cmdMetrics(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = snapshotBytes(path);
+  return io::withMatchingPackage(bytes, [&](auto& package, const io::SnapshotInfo& info) {
+    if (info.kind == io::DdKind::Vector) {
+      (void)io::loadVector(package, bytes);
+    } else {
+      (void)io::loadMatrix(package, bytes);
+    }
+    obs::renderPrometheus(std::cout, package.stats());
+    return 0;
+  });
+}
+
 int usage() {
   std::cerr << "usage: qadd_snapshot info <file>\n"
                "       qadd_snapshot verify <file>\n"
                "       qadd_snapshot diff <a> <b>\n"
                "       qadd_snapshot convert <in.qdds> <out.qdds> [eps]\n"
-               "       qadd_snapshot write-sample <out.qdds> [qubits]\n";
+               "       qadd_snapshot write-sample <out.qdds> [qubits]\n"
+               "       qadd_snapshot profile <file> [--json]\n"
+               "       qadd_snapshot dot <file> [--max-nodes N]\n"
+               "       qadd_snapshot metrics <file>\n"
+               "<file> may be a QCKP checkpoint wherever a QDDS snapshot is read.\n";
   return 2;
 }
 
@@ -233,7 +250,19 @@ int main(int argc, char** argv) {
       return cmdWriteSample(argv[2],
                             argc == 4 ? static_cast<qc::Qubit>(std::atoi(argv[3])) : 8);
     }
-  } catch (const io::SnapshotError& error) {
+    const auto flagged = [&](int withFlag, const char* flag) {
+      return argc == 3 || (argc == withFlag && std::strcmp(argv[3], flag) == 0);
+    };
+    if (command == "profile" && flagged(4, "--json")) {
+      return cmdProfile(argv[2], argc == 4);
+    }
+    if (command == "dot" && flagged(5, "--max-nodes")) {
+      return cmdDot(argv[2], argc == 5 ? std::strtoull(argv[4], nullptr, 10) : 256);
+    }
+    if (command == "metrics" && argc == 3) {
+      return cmdMetrics(argv[2]);
+    }
+  } catch (const std::exception& error) {
     std::cerr << "qadd_snapshot: " << error.what() << "\n";
     return 3;
   }
