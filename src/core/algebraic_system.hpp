@@ -50,12 +50,6 @@ public:
 
   struct Config {
     Normalization normalization = Normalization::QOmegaInverse;
-    /// Represent untouched qubits of matrix DDs implicitly via skip-level
-    /// edges (identity collapse in makeNode, skip-emitting makeGate).  On by
-    /// default; turning it off restores fully materialized identity towers
-    /// (same results, O(n) slower gate application — useful for A/B
-    /// benchmarking and as a debugging aid).
-    bool skipIdentities = true;
   };
 
   AlgebraicSystem() : AlgebraicSystem(Config{}) {}

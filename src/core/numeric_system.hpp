@@ -39,12 +39,6 @@ public:
     /// Tolerance epsilon for unifying weights (the paper's central knob).
     double epsilon = 0.0;
     Normalization normalization = Normalization::LeftmostNonzero;
-    /// Represent untouched qubits of matrix DDs implicitly via skip-level
-    /// edges (identity collapse in makeNode, skip-emitting makeGate).  On by
-    /// default; turning it off restores fully materialized identity towers
-    /// (same results, O(n) slower gate application — useful for A/B
-    /// benchmarking and as a debugging aid).
-    bool skipIdentities = true;
   };
 
   explicit BasicNumericSystem(Config config)

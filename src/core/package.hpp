@@ -14,9 +14,9 @@
 /// an implicit identity on the skipped levels, so a single-qubit gate on an
 /// n-qubit register is one node instead of an O(n) identity tower and the
 /// multiply recursion touches only the active levels.  makeNode collapses
-/// the diag(c, 0, 0, c) pattern unconditionally (Config::skipIdentities,
-/// default on), which makes the skip form canonical: an explicit identity
-/// level can never coexist with its skipped representation.
+/// the diag(c, 0, 0, c) pattern unconditionally, which makes the skip form
+/// the one canonical representation: an explicit identity level can never
+/// enter the unique table.
 ///
 /// Storage architecture (see docs/CORE_STORAGE.md):
 ///  - nodes live in chunked arenas (core/memory_manager.hpp) with stable
@@ -123,7 +123,7 @@ public:
   static constexpr std::size_t kUnaryCacheEntries = std::size_t{1} << 12U;
 
   explicit Package(Qubit nqubits, typename System::Config config = {})
-      : nqubits_(nqubits), system_(config), skipIdentities_(config.skipIdentities) {
+      : nqubits_(nqubits), system_(config) {
     if (system_.memoizationOrderDependent()) {
       // A recomputed result could differ from the cached one (tolerance-mode
       // interning): keep every memoized result so nothing is ever recomputed.
@@ -142,11 +142,6 @@ public:
   void setExecutor(exec::ThreadPool* /*pool*/) {}
   /// Always false, kept only for perfbench/; goes with the next benchmark change.
   [[nodiscard]] bool concurrentKernels() const { return false; }
-
-  /// True iff identity levels are kept implicit (skip-level matrix edges,
-  /// Config::skipIdentities).  False reproduces the legacy fully-materialized
-  /// representation (identity towers) — the before-side of bench/gate_apply.
-  [[nodiscard]] bool skipIdentities() const { return skipIdentities_; }
 
   // -- canonical edges ---------------------------------------------------------
 
@@ -338,20 +333,9 @@ public:
     return e;
   }
 
-  /// Identity on all qubits.  With skip-level edges this is the canonical
-  /// terminal edge {nullptr, 1, 0} — identity on every level of the context
-  /// — built in O(1); the legacy representation materializes the O(n) tower
-  /// (which makeNode would otherwise collapse right back).
-  [[nodiscard]] MEdge makeIdentity() {
-    MEdge e{nullptr, system_.one()};
-    if (skipIdentities_) {
-      return e;
-    }
-    for (Qubit var = nqubits_; var-- > 0;) {
-      e = makeMNode(var, {e, zeroMatrix(), zeroMatrix(), e});
-    }
-    return e;
-  }
+  /// Identity on all qubits: the canonical terminal edge {nullptr, 1, 0} —
+  /// identity on every level of the context — built in O(1).
+  [[nodiscard]] MEdge makeIdentity() const { return {nullptr, system_.one()}; }
 
   /// Build the DD of an arbitrary state vector given its 2^n amplitudes as
   /// weights (index 0 = |0...0>, qubit 0 is the most significant bit).
@@ -374,21 +358,10 @@ public:
     if (controls.empty()) {
       // One node at the target level; the identity above and below stays
       // implicit (the below-identity is the terminal children, the
-      // above-identity is the root edge's skip span).  The legacy path
-      // materializes the identity tower level by level instead.
-      MEdge e{nullptr, system_.one()};
-      if (skipIdentities_) {
-        e = makeMNode(target, {scale(e, u[0]), scale(e, u[1]), scale(e, u[2]), scale(e, u[3])});
-        return enteringAt(e, 0);
-      }
-      for (Qubit var = nqubits_; var-- > 0;) {
-        if (var == target) {
-          e = makeMNode(var, {scale(e, u[0]), scale(e, u[1]), scale(e, u[2]), scale(e, u[3])});
-        } else {
-          e = makeMNode(var, {e, zeroMatrix(), zeroMatrix(), e});
-        }
-      }
-      return e;
+      // above-identity is the root edge's skip span).
+      const MEdge e = makeIdentity();
+      return enteringAt(
+          makeMNode(target, {scale(e, u[0]), scale(e, u[1]), scale(e, u[2]), scale(e, u[3])}), 0);
     }
     // Controlled: G = I + C where C applies (U - I) on the target restricted
     // to the subspace selected by the controls.  C acts as the identity on
@@ -419,8 +392,6 @@ public:
         } else {
           c = makeMNode(var, {c, zeroMatrix(), zeroMatrix(), zeroMatrix()});
         }
-      } else if (!skipIdentities_) {
-        c = makeMNode(var, {c, zeroMatrix(), zeroMatrix(), c});
       }
       // else: inactive level — the identity stays implicit in the edge.
     }
@@ -1159,7 +1130,7 @@ private:
       // tolerance-mode weights) guarantees no identity-pattern node can
       // slip into the unique table, so the skipped and materialized forms
       // of one operator can never coexist.
-      if (skipIdentities_ && children[1].isTerminal() && system_.isZero(children[1].w) &&
+      if (children[1].isTerminal() && system_.isZero(children[1].w) &&
           children[2].isTerminal() && system_.isZero(children[2].w) &&
           !system_.isZero(children[0].w) && children[0].node == children[3].node &&
           children[0].w == children[3].w) {
@@ -1421,8 +1392,6 @@ private:
   std::size_t gcWatermark_ = 0;
   std::size_t gcRuns_ = 0;
   GcReport lastGcReport_{};
-
-  bool skipIdentities_ = true; ///< Config::skipIdentities (matrix skip edges)
 
   mutable std::uint64_t visitEpoch_ = 0; ///< current traversal generation
   PruneScratch pruneScratch_;            ///< prune()'s reusable per-node storage

@@ -40,8 +40,9 @@ void printUsage(std::ostream& os, const DriverSpec& spec) {
         "                         each series' final state DD\n"
         "  --obs-deterministic    zero the wall-clock-derived output columns\n"
         "                         (CSV seconds/cachehitrate, gc seconds,\n"
-        "                         timeline seconds) for byte-stable output;\n"
-        "                         QADD_OBS_DETERMINISTIC=1 does the same\n"
+        "                         unique collisions, timeline seconds) for\n"
+        "                         byte-stable output; QADD_OBS_DETERMINISTIC=1\n"
+        "                         does the same\n"
         "  --checkpoint-every K   write a QCKP checkpoint every K gates\n"
         "  --checkpoint-prefix P  checkpoint path prefix (default\n"
         "                         \"checkpoint_g\"; numeric point k writes\n"

@@ -167,7 +167,8 @@ void printStatsTable(std::ostream& os, const obs::PackageStats& stats) {
   const auto uniqueRow = [&](std::string_view name, const obs::UniqueTableStats& table) {
     os << std::left << std::setw(12) << name << std::right << std::setw(14)
        << table.lookups.value() << " lookups" << std::setw(14) << table.hits.value() << " hits"
-       << std::setw(12) << table.collisions.value() << " collisions  " << table.entries << "/"
+       << std::setw(12) << (obs::deterministic() ? 0 : table.collisions.value())
+       << " collisions  " << table.entries << "/"
        << table.buckets << " fill\n";
   };
   uniqueRow("vUnique", stats.vUnique);
@@ -247,7 +248,8 @@ void writeStatsJson(std::ostream& os, const obs::PackageStats& stats) {
   os << "},\"uniqueTables\":{";
   const auto uniqueJson = [&os](const char* name, const obs::UniqueTableStats& table) {
     os << "\"" << name << "\":{\"lookups\":" << table.lookups.value()
-       << ",\"hits\":" << table.hits.value() << ",\"collisions\":" << table.collisions.value()
+       << ",\"hits\":" << table.hits.value()
+       << ",\"collisions\":" << (obs::deterministic() ? 0 : table.collisions.value())
        << ",\"entries\":" << table.entries << ",\"buckets\":" << table.buckets << "}";
   };
   uniqueJson("vector", stats.vUnique);
@@ -297,7 +299,8 @@ void writeStatsCsv(std::ostream& os, const obs::PackageStats& stats) {
   const auto uniqueRows = [&os](const char* name, const obs::UniqueTableStats& table) {
     os << "unique." << name << ".lookups," << table.lookups.value() << "\n";
     os << "unique." << name << ".hits," << table.hits.value() << "\n";
-    os << "unique." << name << ".collisions," << table.collisions.value() << "\n";
+    os << "unique." << name << ".collisions,"
+       << (obs::deterministic() ? 0 : table.collisions.value()) << "\n";
     os << "unique." << name << ".entries," << table.entries << "\n";
     os << "unique." << name << ".buckets," << table.buckets << "\n";
   };

@@ -55,9 +55,10 @@ void writeStatsCsv(std::ostream& os, const obs::PackageStats& stats);
 ///                          <base>.json + <base>.csv at the end of the run
 ///   --profile-final        capture each series' final state and print its
 ///                          per-level structural profile (obs::profileDd)
-///   --obs-deterministic    zero the wall-clock-derived columns of every
-///                          emitter (CSV seconds/cachehitrate, gc.seconds,
-///                          timeline seconds) for byte-comparable output
+///   --obs-deterministic    zero the wall-clock-derived and address-sensitive
+///                          columns of every emitter (CSV seconds/cachehitrate,
+///                          gc.seconds, unique collisions, timeline seconds)
+///                          for byte-comparable output
 ///   --checkpoint-every K   write a QCKP simulator checkpoint every K gates
 ///   --checkpoint-prefix P  checkpoint path prefix (default "checkpoint_g";
 ///                          files are <P><gateIndex>.qckp)

@@ -49,7 +49,7 @@ inline constexpr std::array<std::uint8_t, 4> kQddsMagic{'Q', 'D', 'D', 'S'};
 /// varint to every child edge record and to the root edge record; v1
 /// snapshots (no edge levels, identity structure fully materialized) still
 /// load — the rebuild path re-canonicalizes them, collapsing identity
-/// patterns into skip edges when the target package has skipping enabled.
+/// patterns into skip edges.
 inline constexpr std::uint16_t kQddsVersion = 2;
 /// Oldest version parseEnvelope accepts.
 inline constexpr std::uint16_t kQddsMinVersion = 1;

@@ -63,10 +63,10 @@ void renderPrometheus(std::ostream& os, const PackageStats& stats) {
   os << "qadd_unique_hits_total{table=\"matrix\"} " << stats.mUnique.hits.value() << "\n";
   family(os, "qadd_unique_collisions_total", "counter",
          "Unique-table inserts into an already occupied bucket.");
-  os << "qadd_unique_collisions_total{table=\"vector\"} " << stats.vUnique.collisions.value()
-     << "\n";
-  os << "qadd_unique_collisions_total{table=\"matrix\"} " << stats.mUnique.collisions.value()
-     << "\n";
+  os << "qadd_unique_collisions_total{table=\"vector\"} "
+     << (deterministic() ? 0 : stats.vUnique.collisions.value()) << "\n";
+  os << "qadd_unique_collisions_total{table=\"matrix\"} "
+     << (deterministic() ? 0 : stats.mUnique.collisions.value()) << "\n";
   family(os, "qadd_unique_entries", "gauge", "Unique-table fill (entries).");
   os << "qadd_unique_entries{table=\"vector\"} " << stats.vUnique.entries << "\n";
   os << "qadd_unique_entries{table=\"matrix\"} " << stats.mUnique.entries << "\n";

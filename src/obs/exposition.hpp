@@ -8,7 +8,8 @@
 /// per-cache / per-table dimensions.
 ///
 /// In deterministic-output mode (obs::deterministic) the wall-clock family
-/// qadd_gc_seconds_total renders as 0, like every other emitter.
+/// qadd_gc_seconds_total and the address-sensitive
+/// qadd_unique_collisions_total render as 0, like every other emitter.
 #pragma once
 
 #include "obs/stats.hpp"

@@ -111,7 +111,8 @@ public:
   [[nodiscard]] std::vector<Sample> samplesSnapshot() const;
 
   /// JSON object: {"dropped":N,"samples":[{...},...]}.  In deterministic
-  /// mode the seconds and cacheHitRate fields are written as 0.
+  /// mode the seconds, cacheHitRate and uniqueCollisions fields (and CSV
+  /// columns) are written as 0.
   void writeJson(std::ostream& os) const;
   bool writeJson(const std::string& path) const;
 

@@ -17,6 +17,7 @@
 #include "io/snapshot.hpp"
 #include "obs/deterministic.hpp"
 #include "qc/simulator.hpp"
+#include "reference.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -154,14 +155,7 @@ TEST(ApproxPrune, CountsIntoPackageStats) {
 
 // -- prune's exact output, pinned ---------------------------------------------------
 
-/// 64-bit FNV-1a over a QDDS blob: a compact stand-in for the bytes.
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash = (hash ^ byte) * 0x100000001b3ULL;
-  }
-  return hash;
-}
+using reference::fnv1a;
 
 std::uint64_t bitsOf(double value) { return std::bit_cast<std::uint64_t>(value); }
 

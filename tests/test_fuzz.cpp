@@ -6,9 +6,9 @@
 #include "algebraic/euclidean.hpp"
 #include "algebraic/qomega.hpp"
 #include "bigint/bigint.hpp"
-#include "core/export.hpp"
 #include "io/snapshot.hpp"
 #include "qc/simulator.hpp"
+#include "reference.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@ namespace {
 
 using dd::AlgebraicSystem;
 using dd::NumericSystem;
+using reference::denseSimulate;
 
 qc::Circuit randomCliffordT(std::mt19937_64& rng, qc::Qubit nqubits, std::size_t gates) {
   const qc::GateKind kinds[] = {qc::GateKind::H,   qc::GateKind::X,   qc::GateKind::Y,
@@ -46,18 +47,6 @@ qc::Circuit randomCliffordT(std::mt19937_64& rng, qc::Qubit nqubits, std::size_t
     circuit.append({kind, 0.0, target, std::move(controls)});
   }
   return circuit;
-}
-
-la::Vector denseSimulate(const qc::Circuit& circuit) {
-  // Use a numeric package only to construct per-gate dense matrices.
-  dd::Package<NumericSystem> package(circuit.qubits(),
-                                     {0.0, NumericSystem::Normalization::LeftmostNonzero});
-  la::Vector state = la::Vector::basisState(std::size_t{1} << circuit.qubits(), 0);
-  for (const qc::Operation& operation : circuit.operations()) {
-    const auto gate = qc::makeOperationDD(package, operation);
-    state = dd::toDenseMatrix(package, gate) * state;
-  }
-  return state;
 }
 
 class FuzzDifferential : public ::testing::TestWithParam<int> {};

@@ -628,6 +628,58 @@ TEST(Timeline, DeterministicModeZeroesWallClockColumns) {
   EXPECT_NE(json.str().find("\"seconds\":0"), std::string::npos);
 }
 
+TEST(Emitters, DeterministicModeZeroesUniqueCollisions) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "built with QADD_OBS=0";
+  }
+  // Collision counts depend on node addresses (the unique tables hash child
+  // pointers), so every emitter masks them in deterministic mode.
+  obs::PackageStats stats;
+  stats.vUnique.collisions.inc(4242);
+  stats.mUnique.collisions.inc(5353);
+  obs::Timeline timeline;
+  timeline.setEnabled(true);
+  obs::Timeline::Sample sample;
+  sample.uniqueCollisions = 4242;
+  timeline.record(std::move(sample));
+
+  const auto emitAll = [&] {
+    std::ostringstream table;
+    eval::printStatsTable(table, stats);
+    std::ostringstream json;
+    eval::writeStatsJson(json, stats);
+    std::ostringstream csv;
+    eval::writeStatsCsv(csv, stats);
+    std::ostringstream prometheus;
+    obs::renderPrometheus(prometheus, stats);
+    std::ostringstream timelineCsv;
+    timeline.writeCsv(timelineCsv);
+    std::ostringstream timelineJson;
+    timeline.writeJson(timelineJson);
+    return std::array<std::string, 6>{table.str(),      json.str(),        csv.str(),
+                                      prometheus.str(), timelineCsv.str(), timelineJson.str()};
+  };
+  for (const std::string& text : emitAll()) {
+    EXPECT_NE(text.find("4242"), std::string::npos) << "counts show outside the mode:\n" << text;
+  }
+
+  const DeterministicGuard guard(true);
+  const auto masked = emitAll();
+  for (const std::string& text : masked) {
+    EXPECT_EQ(text.find("4242"), std::string::npos) << text;
+    EXPECT_EQ(text.find("5353"), std::string::npos) << text;
+  }
+  EXPECT_NE(masked[0].find(" 0 collisions"), std::string::npos);
+  EXPECT_NE(masked[1].find("\"collisions\":0,"), std::string::npos);
+  EXPECT_NE(masked[2].find("unique.vector.collisions,0\n"), std::string::npos);
+  EXPECT_NE(masked[2].find("unique.matrix.collisions,0\n"), std::string::npos);
+  EXPECT_NE(masked[3].find("qadd_unique_collisions_total{table=\"vector\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(masked[3].find("qadd_unique_collisions_total{table=\"matrix\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(masked[5].find("\"uniqueCollisions\":0,"), std::string::npos);
+}
+
 TEST(Timeline, CsvAndJsonAreWellFormed) {
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "built with QADD_OBS=0";

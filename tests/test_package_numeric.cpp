@@ -57,16 +57,6 @@ TEST(NumericPackage, IdentityIsTerminalSkipEdge) {
   EXPECT_LE(la::Matrix::maxAbsDifference(dense, la::Matrix::identity(16)), 1e-14);
 }
 
-TEST(NumericPackage, IdentityIsDiagonalChainWhenSkippingDisabled) {
-  auto config = exactConfig();
-  config.skipIdentities = false;
-  Pkg p(4, config);
-  const auto identity = p.makeIdentity();
-  EXPECT_EQ(p.countNodes(identity), 4U);
-  const la::Matrix dense = toDenseMatrix(p, identity);
-  EXPECT_LE(la::Matrix::maxAbsDifference(dense, la::Matrix::identity(16)), 1e-14);
-}
-
 TEST(NumericPackage, PaperFig1HadamardKronIdentity) {
   // U = H (x) I_2: the worked example of the paper (Fig. 1).  The classic
   // QMDD has two nodes (one q0 node, one shared q1 identity node); with

@@ -1,14 +1,18 @@
 /// \file test_skip_edges.cpp
 /// The skip-level edge contract: matrix edges whose var lies above their
-/// node's variable carry an implicit identity on the skipped levels.
+/// node's variable carry an implicit identity on the skipped levels, and
+/// this skipped form is the only representation of an operator.
 /// Covered here:
 ///  - canonicalization (makeNode identity collapse, unique-table canonicity,
-///    gate node counts independent of register width);
+///    gate node counts independent of register width, and a walk over whole
+///    circuit unitaries: no diag(c, 0, 0, c) node, every stored child enters
+///    one level below its parent);
 ///  - the end-to-end property test: random Clifford+T circuits simulated
-///    with and without skipping produce identical snapshot bytes and
-///    amplitudes, under both weight systems and every epsilon mode;
-///  - QDDS round trips of skip edges and load-compat for v1 / materialized
-///    matrix snapshots (identity towers collapse on load);
+///    under both weight systems and every epsilon mode match a dense
+///    reference built without any DD code, and their final-state snapshot
+///    bytes match recorded hashes;
+///  - QDDS round trips of skip edges and load-compat for v1 / v2 matrix
+///    snapshots that store explicit identity towers (they collapse on load);
 ///  - the profiler's per-level skipped counters.
 #include "core/export.hpp"
 #include "core/package.hpp"
@@ -17,12 +21,15 @@
 #include "qc/circuit.hpp"
 #include "qc/gates.hpp"
 #include "qc/simulator.hpp"
+#include "reference.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <vector>
 
 namespace {
@@ -106,16 +113,7 @@ TEST(SkipEdges, SkippedAndMaterializedFormsCannotCoexist) {
   EXPECT_TRUE(hh == p.makeIdentity()) << "H^2 collapses back to the terminal identity";
 }
 
-TEST(SkipEdges, DisabledModeMaterializesTowers) {
-  AlgebraicSystem::Config config;
-  config.skipIdentities = false;
-  dd::Package<AlgebraicSystem> p(8, config);
-  EXPECT_FALSE(p.skipIdentities());
-  EXPECT_EQ(p.countNodes(p.makeIdentity()), 8U);
-  EXPECT_EQ(p.countNodes(p.makeGate(gateOf(p, qc::GateKind::H), 3)), 8U);
-}
-
-// -- the with/without-skipping property test ------------------------------------
+// -- the property test against a DD-free oracle ---------------------------------
 
 qc::Circuit randomCliffordT(std::uint64_t seed, qc::Qubit nqubits, std::size_t gates) {
   std::mt19937_64 rng(seed);
@@ -137,59 +135,107 @@ qc::Circuit randomCliffordT(std::uint64_t seed, qc::Qubit nqubits, std::size_t g
   return circuit;
 }
 
-struct RunResult {
-  std::vector<std::uint8_t> snapshot;
-  std::vector<std::complex<double>> amplitudes;
-};
-
+/// Simulates `circuit` and checks the final state against the dense
+/// reference (amplitudes within `tolerance`) and its QDDS bytes against the
+/// recorded FNV-1a hash.
 template <class System>
-RunResult simulate(const qc::Circuit& circuit, typename System::Config config, bool skip) {
-  config.skipIdentities = skip;
+void expectMatchesReference(const qc::Circuit& circuit, typename System::Config config,
+                            std::uint64_t recordedHash, double tolerance) {
   qc::Simulator<System> simulator(circuit, config);
-  while (simulator.step()) {
+  simulator.run();
+  EXPECT_EQ(reference::fnv1a(io::saveVector(simulator.package(), simulator.state())),
+            recordedHash)
+      << "final-state snapshot bytes changed";
+  const la::Vector expected = reference::denseSimulate(circuit);
+  const auto amplitudes = simulator.package().amplitudes(simulator.state());
+  for (std::size_t i = 0; i < expected.dimension(); ++i) {
+    EXPECT_LE(std::abs(amplitudes[i] - expected[i]), tolerance) << "index " << i;
   }
-  return {io::saveVector(simulator.package(), simulator.state()),
-          simulator.package().amplitudes(simulator.state())};
 }
 
+NumericSystem::Config numericConfig(double epsilon) {
+  return {epsilon, NumericSystem::Normalization::LeftmostNonzero};
+}
+
+// Circuits of the property tests: randomCliffordT(seed, 6, 40).
+constexpr std::uint64_t kAlgebraicSeeds[] = {7, 8, 9};
+constexpr std::uint64_t kNumericSeeds[] = {11, 12};
+constexpr double kEpsilons[] = {0.0, 1e-10, 1e-5};
+
+TEST(SkipEdges, AlgebraicApplyMatchesDenseReference) {
+  // FNV-1a of the final-state QDDS, per seed.
+  constexpr std::uint64_t kRecorded[] = {3129257996579943382ULL, 1735741294501657948ULL,
+                                          10087668115707551003ULL};
+  for (std::size_t i = 0; i < std::size(kAlgebraicSeeds); ++i) {
+    expectMatchesReference<AlgebraicSystem>(randomCliffordT(kAlgebraicSeeds[i], 6, 40), {},
+                                            kRecorded[i], 1e-12);
+  }
+}
+
+TEST(SkipEdges, NumericApplyMatchesDenseReferenceAllEpsilonModes) {
+  // FNV-1a of the final-state QDDS, per seed and epsilon.
+  constexpr std::uint64_t kRecorded[std::size(kNumericSeeds)][std::size(kEpsilons)] = {
+      {9285221538663028160ULL, 15454585801024281217ULL, 13841998322070718713ULL},
+      {5796444926707159034ULL, 11831960530561603101ULL, 17433195367042522489ULL}};
+  for (std::size_t i = 0; i < std::size(kNumericSeeds); ++i) {
+    const qc::Circuit circuit = randomCliffordT(kNumericSeeds[i], 6, 40);
+    for (std::size_t j = 0; j < std::size(kEpsilons); ++j) {
+      SCOPED_TRACE(testing::Message() << "seed " << kNumericSeeds[i] << " eps " << kEpsilons[j]);
+      expectMatchesReference<NumericSystem>(circuit, numericConfig(kEpsilons[j]), kRecorded[i][j],
+                                            std::max(1e-12, 10.0 * kEpsilons[j]));
+    }
+  }
+}
+
+/// Walks every node reachable from `root`: none may hold the collapsible
+/// diag(c, 0, 0, c) pattern, and every non-terminal child must enter exactly
+/// one level below its parent (skips live only in the difference between an
+/// edge's entering level and its node's variable).
 template <class System>
-void expectSkipInvariant(const qc::Circuit& circuit, typename System::Config config) {
-  const RunResult with = simulate<System>(circuit, config, true);
-  const RunResult without = simulate<System>(circuit, config, false);
-  EXPECT_EQ(with.snapshot, without.snapshot)
-      << "final-state snapshot bytes must not depend on identity skipping";
-  EXPECT_EQ(with.amplitudes, without.amplitudes);
-}
-
-TEST(SkipEdges, AlgebraicApplyMatchesMaterialized) {
-  for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
-    expectSkipInvariant<AlgebraicSystem>(randomCliffordT(seed, 6, 40), {});
+void expectSkipCanonical(const dd::Package<System>& p,
+                         const typename dd::Package<System>::MEdge& root) {
+  using MNode = typename dd::Package<System>::MNode;
+  std::set<const MNode*> seen;
+  std::vector<const MNode*> pending{root.node};
+  while (!pending.empty()) {
+    const MNode* node = pending.back();
+    pending.pop_back();
+    if (node == nullptr || !seen.insert(node).second) {
+      continue;
+    }
+    const auto& e = node->e;
+    const bool zeroOffDiagonal = e[1].isTerminal() && p.system().isZero(e[1].w) &&
+                                 e[2].isTerminal() && p.system().isZero(e[2].w);
+    EXPECT_FALSE(zeroOffDiagonal && e[0] == e[3] && !p.system().isZero(e[0].w))
+        << "identity-pattern node at var " << node->var;
+    for (const auto& child : e) {
+      if (!child.isTerminal()) {
+        EXPECT_EQ(child.var, node->var + 1) << "child of a var-" << node->var << " node";
+        pending.push_back(child.node);
+      }
+    }
   }
+  EXPECT_GT(seen.size(), 0U) << "a random circuit's unitary has nodes";
 }
 
-TEST(SkipEdges, NumericApplyMatchesMaterializedAllEpsilonModes) {
-  for (const std::uint64_t seed : {11ULL, 12ULL}) {
-    const qc::Circuit circuit = randomCliffordT(seed, 6, 40);
-    for (const double epsilon : {0.0, 1e-10, 1e-5}) {
-      expectSkipInvariant<NumericSystem>(circuit,
-                                         {epsilon, NumericSystem::Normalization::LeftmostNonzero});
+TEST(SkipEdges, CircuitUnitariesAreSkipCanonical) {
+  for (const std::uint64_t seed : kAlgebraicSeeds) {
+    dd::Package<AlgebraicSystem> p(6);
+    expectSkipCanonical(p, qc::buildUnitary(p, randomCliffordT(seed, 6, 40)));
+  }
+  for (const std::uint64_t seed : kNumericSeeds) {
+    for (const double epsilon : kEpsilons) {
+      dd::Package<NumericSystem> p(6, numericConfig(epsilon));
+      expectSkipCanonical(p, qc::buildUnitary(p, randomCliffordT(seed, 6, 40)));
     }
   }
 }
 
 TEST(SkipEdges, UnitaryBuildMatchesDenseReference) {
   const qc::Circuit circuit = randomCliffordT(21, 4, 25);
-  AlgebraicSystem::Config materialized;
-  materialized.skipIdentities = false;
-  dd::Package<AlgebraicSystem> skipPkg(4);
-  dd::Package<AlgebraicSystem> matPkg(4, materialized);
-  const auto skipU = qc::buildUnitary(skipPkg, circuit);
-  const auto matU = qc::buildUnitary(matPkg, circuit);
-  const la::Matrix skipDense = dd::toDenseMatrix(skipPkg, skipU);
-  const la::Matrix matDense = dd::toDenseMatrix(matPkg, matU);
-  EXPECT_LE(la::Matrix::maxAbsDifference(skipDense, matDense), 1e-12);
-  EXPECT_LE(skipPkg.countNodes(skipU), matPkg.countNodes(matU))
-      << "skipping never represents the same operator with more nodes";
+  dd::Package<AlgebraicSystem> p(4);
+  const la::Matrix dense = dd::toDenseMatrix(p, qc::buildUnitary(p, circuit));
+  EXPECT_LE(la::Matrix::maxAbsDifference(dense, reference::denseUnitary(circuit)), 1e-12);
 }
 
 // -- serialization --------------------------------------------------------------
@@ -207,62 +253,82 @@ TEST(SkipEdges, MatrixSnapshotRoundTripsSkipEdges) {
   EXPECT_TRUE(io::loadMatrix(p, identityBytes) == p.makeIdentity());
 }
 
-TEST(SkipEdges, MaterializedMatrixSnapshotCollapsesOnLoad) {
-  // A v2 snapshot written by a skip-disabled package holds explicit identity
-  // towers; loading it into a skip-enabled package re-canonicalizes them
-  // away.
-  AlgebraicSystem::Config materialized;
-  materialized.skipIdentities = false;
-  dd::Package<AlgebraicSystem> writer(5, materialized);
-  const auto bytes = io::saveMatrix(writer, writer.makeGate(gateOf(writer, qc::GateKind::T), 2));
-  EXPECT_EQ(io::readInfo(bytes).nodeCount, 5U);
-
-  dd::Package<AlgebraicSystem> reader(5);
-  const auto loaded = io::loadMatrix(reader, bytes);
-  EXPECT_EQ(reader.countNodes(loaded), 1U);
-  EXPECT_TRUE(loaded == reader.makeGate(gateOf(reader, qc::GateKind::T), 2));
-}
-
-TEST(SkipEdges, V1MatrixIdentityTowerLoadsAndCollapses) {
-  // Hand-written QDDS v1 (no edge-level records) of the 3-qubit identity as
-  // the old representation stored it: a tower of three diagonal nodes.  The
-  // v2 reader must accept it and collapse the tower to the terminal edge.
+/// QDDS bytes of a numeric matrix DD stored the way writers without skip
+/// edges stored it: a tower of one diagonal node per level, written
+/// bottom-up, diag(1, phase) at `target` and diag(1, 1) on every other level.
+/// v1 records carry no edge levels; v2 appends the entering level of every
+/// child edge (var + 1, or 0 for the terminal) and of the root (0) — the only
+/// difference between the two byte layouts.
+std::vector<std::uint8_t> diagonalTowerSnapshot(std::uint16_t version, dd::Qubit nqubits,
+                                                dd::Qubit target, std::complex<double> phase) {
   using Codec = io::SystemCodec<NumericSystem>;
-  NumericSystem system({0.0, NumericSystem::Normalization::LeftmostNonzero});
+  NumericSystem system(numericConfig(0.0));
+  const bool identity = phase == std::complex<double>{1.0};
   io::ByteWriter payload;
   Codec::writeMeta(payload, system);
-  payload.varint(2); // weights: [one, zero]
-  payload.varint(3); // nodes: the var 2..0 tower
+  payload.varint(identity ? 2 : 3); // weights: [one, zero, phase]
+  payload.varint(nqubits);          // nodes: the var nqubits-1 .. 0 tower
   Codec::writeWeight(payload, system, system.one());
   Codec::writeWeight(payload, system, system.zero());
-  for (std::uint64_t level = 0; level < 3; ++level) {
-    payload.varint(2 - level);              // var, bottom-up
-    payload.varint(level);                  // e[0] -> previous record (0 = terminal)
-    payload.varint(0);                      // weight one
-    payload.varint(0);                      // e[1] -> zero stub
-    payload.varint(1);
-    payload.varint(0);                      // e[2] -> zero stub
-    payload.varint(1);
-    payload.varint(level);                  // e[3] -> previous record
+  if (!identity) {
+    Codec::writeWeight(payload, system, system.fromComplex(phase));
+  }
+  const auto edge = [&](std::uint64_t nodeRef, std::uint64_t weight, std::uint64_t var) {
+    payload.varint(nodeRef); // 0 = terminal, k = k-th node record
+    payload.varint(weight);
+    if (version >= 2) {
+      payload.varint(nodeRef == 0 ? 0 : var + 1);
+    }
+  };
+  for (std::uint64_t level = 0; level < nqubits; ++level) {
+    const std::uint64_t var = nqubits - 1 - level;
+    payload.varint(var);
+    edge(level, 0, var); // the previous record, weight one
+    edge(0, 1, var);     // zero stubs
+    edge(0, 1, var);
+    edge(level, var == target && !identity ? 2 : 0, var);
+  }
+  payload.varint(nqubits); // root -> top node, weight one
+  payload.varint(0);
+  if (version >= 2) {
     payload.varint(0);
   }
-  payload.varint(3); // root -> top node
-  payload.varint(0);
 
   io::ByteWriter file;
   file.raw(io::kQddsMagic);
-  file.u16(1); // v1 envelope
+  file.u16(version);
   file.u8(static_cast<std::uint8_t>(io::DdKind::Matrix));
   file.u8(static_cast<std::uint8_t>(io::SystemTag::Numeric));
-  file.u32(3);
+  file.u32(nqubits);
   file.u64(payload.size());
   file.u32(0);
   file.raw(payload.bytes());
   file.u32(io::Crc32::of(file.bytes()));
-  const std::vector<std::uint8_t> bytes = file.take();
+  return file.take();
+}
+
+TEST(SkipEdges, MaterializedMatrixSnapshotCollapsesOnLoad) {
+  // A v2 snapshot that stores T on qubit 2 of 5 as an explicit identity
+  // tower (as writers before skip-only matrices could) loads as the
+  // canonical one-node gate.
+  const auto bytes = diagonalTowerSnapshot(2, 5, 2, qc::complexMatrix(qc::GateKind::T)[3]);
+  EXPECT_EQ(io::readInfo(bytes).version, 2U);
+  EXPECT_EQ(io::readInfo(bytes).nodeCount, 5U);
+
+  dd::Package<NumericSystem> p(5, numericConfig(0.0));
+  const auto loaded = io::loadMatrix(p, bytes);
+  EXPECT_EQ(p.countNodes(loaded), 1U);
+  EXPECT_TRUE(loaded == p.makeGate(gateOf(p, qc::GateKind::T), 2));
+}
+
+TEST(SkipEdges, V1MatrixIdentityTowerLoadsAndCollapses) {
+  // QDDS v1 (no edge-level records) of the 3-qubit identity as the old
+  // representation stored it: a tower of three diagonal nodes.  The reader
+  // must accept it and collapse the tower to the terminal edge.
+  const auto bytes = diagonalTowerSnapshot(1, 3, 0, 1.0);
   EXPECT_EQ(io::readInfo(bytes).version, 1U);
 
-  dd::Package<NumericSystem> p(3, {0.0, NumericSystem::Normalization::LeftmostNonzero});
+  dd::Package<NumericSystem> p(3, numericConfig(0.0));
   const std::size_t live = p.allocatedNodes();
   const auto loaded = io::loadMatrix(p, bytes);
   EXPECT_TRUE(loaded == p.makeIdentity()) << "tower collapses to the terminal identity";
@@ -286,12 +352,15 @@ TEST(SkipEdges, ProfilerCountsSkippedLevels) {
       EXPECT_GE(profile.levels[level].skippedBy, 1U) << "level " << level;
     }
   }
-  // Fully materialized diagrams report zero skips everywhere.
-  AlgebraicSystem::Config materialized;
-  materialized.skipIdentities = false;
-  dd::Package<AlgebraicSystem> m(8, materialized);
-  const obs::DdProfile matProfile = obs::profileDd(m, m.makeGate(gateOf(m, qc::GateKind::H), 3));
-  for (const obs::LevelProfile& level : matProfile.levels) {
+  // H on every qubit has a node on every level: zero skips everywhere.
+  auto hAll = p.makeIdentity();
+  for (dd::Qubit q = 0; q < 8; ++q) {
+    hAll = p.multiply(p.makeGate(gateOf(p, qc::GateKind::H), q), hAll);
+  }
+  const obs::DdProfile fullProfile = obs::profileDd(p, hAll);
+  EXPECT_EQ(fullProfile.totalNodes, 8U);
+  for (const obs::LevelProfile& level : fullProfile.levels) {
+    EXPECT_EQ(level.nodes, 1U);
     EXPECT_EQ(level.skippedBy, 0U);
   }
 }

@@ -233,8 +233,9 @@ bool isHardKey(const std::string& path) {
       "errors",          "droppedConnections",
       "identicalResults", "workloads",
       // gate_apply structural gates (BENCH_skip.json).
-      "gateQubits",      "skipMatrixNodes", "materializedMatrixNodes",
-      "speedupGatePassed", "nodeGatePassed",
+      "gateQubits",      "skipMatrixNodes", "nodeGatePassed",
+      // exec_sweep's speedup gate (BENCH_exec.json).
+      "speedupGatePassed",
       // approx_tradeoff structural gates (BENCH_approx.json).
       "exactNodes",      "exactFinalNodes", "approxNodes",
       "approxFinalNodes", "nodeReduction",  "prunedNodes",
