@@ -13,7 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <optional>
 #include <random>
+#include <vector>
 
 namespace {
 
@@ -117,5 +120,46 @@ void BM_ComplexTableLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComplexTableLookup);
+
+/// Exact-mode (ε = 0) hits: every value is interned before the timed loop.
+void BM_ComplexTableLookupExact(benchmark::State& state) {
+  num::ComplexTable table(0.0);
+  std::mt19937_64 rng(19);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  std::vector<num::ComplexValue> values;
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back({d(rng), d(rng)});
+    (void)table.lookup(values.back());
+  }
+  std::size_t i = 0;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.lookup(values[i++ % values.size()]));
+  }
+}
+BENCHMARK(BM_ComplexTableLookupExact);
+
+/// Inserts only: every lookup interns a new value.  A fresh table every 4096
+/// values keeps memory flat; its set-up is part of the timing and of
+/// allocs_per_op.  Arg 0 is ε = 0 (bit-exact keys), arg k > 0 is ε = 10^-k.
+void BM_ComplexTableInsert(benchmark::State& state) {
+  const double epsilon = state.range(0) == 0 ? 0.0 : std::pow(10.0, -state.range(0));
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  std::vector<num::ComplexValue> values;
+  for (int i = 0; i < 4096; ++i) {
+    values.push_back({d(rng), d(rng)});
+  }
+  std::optional<num::ComplexTable> table;
+  std::size_t i = 0;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    if (i % values.size() == 0) {
+      table.emplace(epsilon);
+    }
+    benchmark::DoNotOptimize(table->lookup(values[i++ % values.size()]));
+  }
+}
+BENCHMARK(BM_ComplexTableInsert)->Arg(0)->Arg(10);
 
 } // namespace

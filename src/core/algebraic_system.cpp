@@ -1,5 +1,7 @@
 #include "core/algebraic_system.hpp"
 
+#include "numeric/handle.hpp"
+
 #include <algorithm>
 #include <array>
 #include <cassert>
@@ -18,9 +20,15 @@ AlgebraicSystem::AlgebraicSystem(Config config) : config_(config) {
 }
 
 AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) {
-  const auto [it, inserted] = pool_.try_emplace(value, static_cast<Weight>(entries_.size()));
+  const auto [it, inserted] = pool_.try_emplace(value);
   if (inserted) {
-    entries_.push_back(&it->first);
+    try {
+      it->second = num::mintHandle(entries_.size());
+      entries_.push_back(&it->first);
+    } catch (...) {
+      pool_.erase(it); // a failed intern leaves no handle-less pool entry behind
+      throw;
+    }
     const std::size_t bits = value.maxBits();
     maxBits_ = std::max(maxBits_, bits);
     if constexpr (obs::kEnabled) {

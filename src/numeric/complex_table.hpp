@@ -8,27 +8,38 @@
 /// bit-exact interning, which maximizes precision but misses redundancies;
 /// large epsilon merges genuinely different amplitudes and loses information.
 ///
+/// Storage: entries live in insertion order in `entries_`, the handle being
+/// the index.  Entries that share a key — the double-rounded bit pattern in
+/// exact mode, the ε-cell in tolerance mode — form a chain through `next_`,
+/// also in insertion order.  One open-addressing array of 8-byte slots
+/// (linear probing, at most half full) maps each key to its chain's first
+/// entry plus a 32-bit hash tag; the key itself is recomputed from that
+/// entry, so a probe touches one or two contiguous slots and, on a tag
+/// match, the entry it would read anyway.  An insert allocates only when an
+/// array doubles.
+///
 /// Complexity note: in tolerance mode the stored entries are pairwise more
 /// than epsilon apart (any closer candidate would have been unified), so a
 /// spatial hash with cell size epsilon has O(1) occupancy per cell and
-/// lookups are O(1).  Tolerances below ~2^-40 are finer than the spacing of
-/// the doubles occurring in practice; they are served by bit-exact hashing
-/// instead (a dense sub-epsilon grid would degenerate to linear scans).
+/// lookups are O(1): nine slot probes and short chains.  Tolerances below
+/// ~2^-40 are finer than the spacing of the doubles occurring in practice;
+/// they are served by bit-exact keys instead (a dense sub-epsilon grid would
+/// degenerate to linear scans), one probe per lookup.
 ///
 /// Templated on the floating-point type (double is the baseline; long
 /// double backs the precision-scaling experiment).
 #pragma once
 
 #include "numeric/complex_value.hpp"
+#include "numeric/handle.hpp"
 #include "obs/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 namespace qadd::num {
@@ -41,7 +52,7 @@ public:
   using Value = BasicComplexValue<FloatT>;
 
   /// \param epsilon tolerance for unifying values (>= 0).
-  explicit BasicComplexTable(FloatT epsilon) : epsilon_(epsilon) {
+  explicit BasicComplexTable(FloatT epsilon) : epsilon_(epsilon), slots_(kInitialSlots) {
     if (epsilon < 0 || !std::isfinite(static_cast<double>(epsilon))) {
       throw std::invalid_argument("ComplexTable: epsilon must be finite and >= 0");
     }
@@ -50,14 +61,9 @@ public:
     // interning (and stays O(1) — see the file comment on bucket density).
     exactMode_ = epsilon_ < kMinCell;
     cell_ = exactMode_ ? kMinCell : epsilon_;
-    entries_.push_back(Value::zero()); // kZeroRef
-    entries_.push_back(Value::one());  // kOneRef
-    if (exactMode_) {
-      exact_[bitKeyOf(entries_[0])].push_back(kZeroRef);
-      exact_[bitKeyOf(entries_[1])].push_back(kOneRef);
-    } else {
-      grid_[cellOf(entries_[0])].push_back(kZeroRef);
-      grid_[cellOf(entries_[1])].push_back(kOneRef);
+    for (const Value preinterned : {Value::zero(), Value::one()}) { // kZeroRef, kOneRef
+      const Key key = keyOf(preinterned);
+      (void)append(probe(key), key, preinterned);
     }
   }
 
@@ -77,29 +83,25 @@ public:
           return kOneRef;
         }
       }
-      // The bucket key is the double-rounded bit pattern; entries inside a
-      // bucket are distinguished by exact FloatT comparison, so extended
-      // precision values that differ only below double resolution stay
-      // distinct (essential for the precision-scaling experiment).
-      auto& bucket = exact_[bitKeyOf(value)];
-      for (const ComplexRef ref : bucket) {
+      // The key is the double-rounded bit pattern; entries sharing it are
+      // distinguished by exact FloatT comparison, so extended precision
+      // values that differ only below double resolution stay distinct
+      // (essential for the precision-scaling experiment).
+      const Key key = bitKeyOf(value);
+      const std::size_t slot = probe(key);
+      for (ComplexRef ref = slots_[slot].head; ref != kNoHandle; ref = next_[ref]) {
         if (entries_[ref] == value) {
           return ref;
         }
       }
-      const auto ref = static_cast<ComplexRef>(entries_.size());
-      entries_.push_back(value);
-      bucket.push_back(ref);
-      return ref;
+      return append(slot, key, value);
     }
-    const CellKey center = cellOf(value);
+    const std::int64_t x = cellIndex(value.re);
+    const std::int64_t y = cellIndex(value.im);
     for (std::int64_t dx = -1; dx <= 1; ++dx) {
       for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        const auto it = grid_.find(CellKey{center.x + dx, center.y + dy});
-        if (it == grid_.end()) {
-          continue;
-        }
-        for (const ComplexRef ref : it->second) {
+        for (ComplexRef ref = slots_[probe(cellKey(x + dx, y + dy))].head; ref != kNoHandle;
+             ref = next_[ref]) {
           if (Value::approxEqual(entries_[ref], value, epsilon_)) {
             noteUnification(ref, value);
             return ref;
@@ -107,10 +109,8 @@ public:
         }
       }
     }
-    const auto ref = static_cast<ComplexRef>(entries_.size());
-    entries_.push_back(value);
-    grid_[center].push_back(ref);
-    return ref;
+    const Key center = cellKey(x, y);
+    return append(probe(center), center, value);
   }
 
   [[nodiscard]] Value value(ComplexRef ref) const { return entries_[ref]; }
@@ -137,22 +137,20 @@ public:
   /// compiled out or ε == 0.
   [[nodiscard]] std::uint64_t nearMissUnifications() const { return nearMisses_; }
 
-  /// Histogram of bucket occupancy: result[k] = number of hash buckets
-  /// (spatial-grid cells in tolerance mode, bit-pattern buckets in exact
-  /// mode) currently holding exactly k entries; k is clamped to the last
-  /// bin.  Empty buckets are not represented (result[0] == 0).
+  /// Histogram of bucket occupancy: result[k] = number of keys (spatial-grid
+  /// cells in tolerance mode, double-rounded bit patterns in exact mode)
+  /// currently holding exactly k entries; k is clamped to the last bin.
+  /// Empty buckets are not represented (result[0] == 0).  Computed on demand
+  /// by walking the chains, O(entries + slots).
   [[nodiscard]] std::vector<std::uint64_t> bucketOccupancyHistogram(std::size_t maxBin = 8) const {
     std::vector<std::uint64_t> histogram(maxBin + 1, 0);
-    const auto note = [&](std::size_t occupancy) {
-      ++histogram[std::min(occupancy, maxBin)];
-    };
-    if (exactMode_) {
-      for (const auto& [key, bucket] : exact_) {
-        note(bucket.size());
+    for (const Slot& slot : slots_) {
+      std::size_t occupancy = 0;
+      for (ComplexRef ref = slot.head; ref != kNoHandle; ref = next_[ref]) {
+        ++occupancy;
       }
-    } else {
-      for (const auto& [key, bucket] : grid_) {
-        note(bucket.size());
+      if (occupancy > 0) {
+        ++histogram[std::min(occupancy, maxBin)];
       }
     }
     return histogram;
@@ -176,33 +174,27 @@ private:
   static constexpr ComplexRef kOneRef = 1;
   static constexpr FloatT kMinCell = static_cast<FloatT>(0x1p-40);
   static constexpr std::int64_t kFarCell = -(std::int64_t{1} << 62) - 2; ///< see cellIndex
+  /// A power of two, and small: packages are constructed in loops.
+  static constexpr std::size_t kInitialSlots = 64;
 
-  struct CellKey {
-    std::int64_t x;
-    std::int64_t y;
-    friend bool operator==(CellKey, CellKey) = default;
-  };
-  struct CellKeyHash {
-    std::size_t operator()(CellKey key) const noexcept {
-      auto h = static_cast<std::size_t>(key.x) * 0x9e3779b97f4a7c15ULL;
-      h ^= static_cast<std::size_t>(key.y) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return h;
-    }
-  };
-  struct BitKey {
+  /// A chain key: a bit-pattern pair in exact mode, a cell pair in tolerance
+  /// mode (the int64 cell indices reinterpreted as unsigned).
+  struct Key {
     std::uint64_t re;
     std::uint64_t im;
-    friend bool operator==(BitKey, BitKey) = default;
+    friend bool operator==(Key, Key) = default;
   };
-  struct BitKeyHash {
-    std::size_t operator()(BitKey key) const noexcept {
-      return key.re * 0x9e3779b97f4a7c15ULL ^ (key.im + (key.re << 7));
-    }
+  /// One open-addressing slot: the first entry of a chain and 32 bits of
+  /// its key's hash (a slot whose tag differs is skipped without reading
+  /// the entry).  head == kNoHandle marks an empty slot.
+  struct Slot {
+    ComplexRef head = kNoHandle;
+    std::uint32_t tag = 0;
   };
 
-  /// Bucket key: bit pattern of the value rounded to double.
+  /// Bit key: bit pattern of the value rounded to double.
   /// -0.0 canonicalizes with +0.0.
-  [[nodiscard]] static BitKey bitKeyOf(Value value) {
+  [[nodiscard]] static Key bitKeyOf(Value value) {
     const auto bits = [](FloatT component) {
       double canonical = static_cast<double>(component);
       if (canonical == 0.0) {
@@ -215,8 +207,11 @@ private:
     return {bits(value.re), bits(value.im)};
   }
 
-  [[nodiscard]] CellKey cellOf(Value value) const {
-    return {cellIndex(value.re), cellIndex(value.im)};
+  [[nodiscard]] Key keyOf(Value value) const {
+    return exactMode_ ? bitKeyOf(value) : cellKey(cellIndex(value.re), cellIndex(value.im));
+  }
+  [[nodiscard]] static Key cellKey(std::int64_t x, std::int64_t y) {
+    return {static_cast<std::uint64_t>(x), static_cast<std::uint64_t>(y)};
   }
   /// Grid coordinate of one component.  A component whose cell index lies
   /// beyond ±2^62 (a huge weight — PerGate pruning at ε > 0 produces them —
@@ -230,13 +225,73 @@ private:
     return kFarCell;
   }
 
+  /// Multiply-xorshift mix of both key halves: the top bits index the slot
+  /// array, the low 32 bits are the slot tag, and every bit of the key
+  /// reaches both.  Dyadic amplitudes (±1/2) have all-zero low mantissa
+  /// bits, and a negated value differs from its original only in the two
+  /// sign bits, which a sum of linear terms would cancel.
+  [[nodiscard]] static std::uint64_t hashOf(Key key) {
+    std::uint64_t h = key.re * 0x9e3779b97f4a7c15ULL;
+    h = ((h ^ (h >> 32)) + key.im) * 0xd6e8feb86659fd93ULL;
+    return h ^ (h >> 32);
+  }
+
+  /// Slot index of `key`'s chain, or of the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(Key key) const {
+    const std::uint64_t h = hashOf(key);
+    const auto tag = static_cast<std::uint32_t>(h);
+    const std::size_t mask = slots_.size() - 1;
+    for (auto i = static_cast<std::size_t>(h >> slotShift_);; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.head == kNoHandle || (slot.tag == tag && keyOf(entries_[slot.head]) == key)) {
+        return i;
+      }
+    }
+  }
+
+  /// Append `value` as a new entry at the end of the chain in slots_[slot]
+  /// (a fresh chain for `key` if that slot is empty).
+  ComplexRef append(std::size_t slot, Key key, Value value) {
+    const ComplexRef ref = mintHandle(entries_.size());
+    entries_.push_back(value);
+    next_.push_back(kNoHandle);
+    Slot& target = slots_[slot];
+    if (target.head == kNoHandle) {
+      target = {ref, static_cast<std::uint32_t>(hashOf(key))};
+      if (++usedSlots_ * 2 > slots_.size()) {
+        grow();
+      }
+      return ref;
+    }
+    ComplexRef last = target.head;
+    while (next_[last] != kNoHandle) {
+      last = next_[last];
+    }
+    next_[last] = ref;
+    return ref;
+  }
+
+  /// Double the slot array and reinsert every chain under its head's key.
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --slotShift_;
+    for (const Slot& slot : old) {
+      if (slot.head != kNoHandle) {
+        slots_[probe(keyOf(entries_[slot.head]))] = slot;
+      }
+    }
+  }
+
   FloatT epsilon_;
   FloatT cell_;            // spatial-hash cell edge length (>= epsilon, > 0)
   bool exactMode_ = false; // epsilon below float resolution: bit-exact interning
   std::uint64_t nearMisses_ = 0;
   std::vector<Value> entries_;
-  std::unordered_map<CellKey, std::vector<ComplexRef>, CellKeyHash> grid_;
-  std::unordered_map<BitKey, std::vector<ComplexRef>, BitKeyHash> exact_;
+  std::vector<ComplexRef> next_; ///< next entry with the same key, or kNoHandle
+  std::vector<Slot> slots_;      ///< power-of-two open-addressing array
+  std::size_t usedSlots_ = 0;    ///< distinct keys (non-empty slots)
+  unsigned slotShift_ = 64 - std::countr_zero(kInitialSlots); ///< 64 - log2(slots_.size())
 };
 
 using ComplexTable = BasicComplexTable<double>;
