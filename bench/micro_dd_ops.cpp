@@ -9,8 +9,8 @@
 /// BENCH_obs.json telemetry snapshot (counters + timings of a fixed
 /// reference workload) so future performance PRs have a baseline to diff
 /// against, and a BENCH_io.json snapshot-layer report (QDDS save/load
-/// throughput plus the fig3-style reference-cache speedup).  The prune
-/// benchmarks report allocs_per_op through the operator-new probe.
+/// throughput plus the fig3-style reference-cache speedup).  The prune and
+/// gate-memo benchmarks report allocs_per_op through the operator-new probe.
 #include "alloc_probe.hpp"
 
 #include "algorithms/bwt.hpp"
@@ -54,17 +54,35 @@ void reportObsCounters(benchmark::State& state, const dd::Package<System>& packa
       (stats.vUnique.hitRate() + stats.mUnique.hitRate()) / 2.0;
 }
 
+/// Building a gate DD — what a gate-memo miss costs: the 2x2 weight matrix
+/// plus Package::makeGate, past the memo.
 template <class System> void BM_MakeGateDD(benchmark::State& state) {
   dd::Package<System> package(static_cast<dd::Qubit>(state.range(0)),
                               defaultConfig<System>());
   const qc::Operation h{qc::GateKind::H, 0.0, static_cast<qc::Qubit>(state.range(0) / 2), {}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qc::makeOperationDD(package, h));
+    benchmark::DoNotOptimize(package.makeGate(qc::makeWeightMatrix(package, h), h.target));
   }
   reportObsCounters(state, package);
 }
 BENCHMARK_TEMPLATE(BM_MakeGateDD, dd::NumericSystem)->Arg(8)->Arg(16);
 BENCHMARK_TEMPLATE(BM_MakeGateDD, dd::AlgebraicSystem)->Arg(8)->Arg(16);
+
+/// A repeated makeOperationDD on a warm package — what every repetition of
+/// a gate in a circuit costs: one gate-memo hit, which must not allocate.
+/// The gate is a doubly controlled X with one negative control.
+template <class System> void BM_GateMemoHit(benchmark::State& state) {
+  const auto n = static_cast<dd::Qubit>(state.range(0));
+  dd::Package<System> package(n, defaultConfig<System>());
+  const qc::Operation gate{qc::GateKind::X, 0.0, n - 1, {{0, true}, {n / 2, false}}};
+  (void)qc::makeOperationDD(package, gate);
+  benchprobe::AllocScope allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qc::makeOperationDD(package, gate));
+  }
+}
+BENCHMARK_TEMPLATE(BM_GateMemoHit, dd::NumericSystem)->Arg(16);
+BENCHMARK_TEMPLATE(BM_GateMemoHit, dd::AlgebraicSystem)->Arg(16);
 
 template <class System> void BM_GhzSimulation(benchmark::State& state) {
   const qc::Circuit circuit = algos::ghz(static_cast<qc::Qubit>(state.range(0)));

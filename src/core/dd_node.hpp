@@ -33,6 +33,15 @@ namespace qadd::dd {
 /// Variable index; 0 is the topmost qubit (root level), as in the paper.
 using Qubit = std::uint32_t;
 
+/// A control qubit of a gate, with polarity (positive = active on |1>).
+/// The one control type of the circuit IR (qc::ControlSpec), of
+/// Package::makeGate and of the gate memo.
+struct ControlSpec {
+  Qubit qubit;
+  bool positive = true;
+  friend bool operator==(const ControlSpec&, const ControlSpec&) = default;
+};
+
 /// Weighted edge into a DD.  node == nullptr means the edge goes to the
 /// terminal.
 ///

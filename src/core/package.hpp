@@ -31,7 +31,8 @@
 ///
 /// Reference counting: a node holds one reference per parent edge plus any
 /// external references (incRef/decRef).  garbageCollect() invalidates the
-/// operation caches and sweeps ref == 0 nodes; it also auto-triggers from
+/// operation caches and the gate memo (memoizedGate, core/gate_memo.hpp)
+/// and sweeps ref == 0 nodes; it also auto-triggers from
 /// decRef() when the live node count crosses the watermark set by
 /// setGcWatermark() (0, the default, = only on demand; every qc::Simulator
 /// installs its Options::gcNodeThreshold).
@@ -44,6 +45,7 @@
 #include "algebraic/qomega.hpp" // exact amplitude accumulation (algebraic system)
 #include "core/computed_table.hpp"
 #include "core/dd_node.hpp"
+#include "core/gate_memo.hpp"
 #include "core/memory_manager.hpp"
 #include "core/unique_table.hpp"
 #include "exec/thread_pool.hpp"
@@ -62,6 +64,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace qadd::dd {
@@ -193,14 +196,15 @@ public:
     }
   }
 
-  /// Invalidate all operation caches and free every node that is no longer
-  /// reachable from an externally referenced edge.
+  /// Invalidate all operation caches and the gate memo, and free every node
+  /// that is no longer reachable from an externally referenced edge.
   GcReport garbageCollect() {
     const auto span = obs::Tracer::global().span("gc", "dd");
     const auto start = std::chrono::steady_clock::now();
     GcReport report;
     report.liveBefore = allocatedNodes();
     clearCaches(); // O(1) epoch bumps — GC no longer pays a cache teardown
+    gateMemo_.clear(); // its entries hold no references: the sweep may free their nodes
     std::apply([](auto&... tables) { (tables.sweep(), ...); }, tables_);
     report.liveAfter = allocatedNodes();
     report.swept = report.liveBefore - report.liveAfter;
@@ -346,14 +350,13 @@ public:
     return buildStateRange(0, amplitudes);
   }
 
-  /// Control polarity for controlled gates.
-  enum class Control : std::uint8_t { Positive, Negative };
-
   /// DD of the n-qubit unitary applying `u` to `target`, conditioned on the
   /// given controls; identity on every other qubit.  Built as
   /// I + P_controls (x) (U - I), which handles arbitrary control sets.
+  /// \pre no control is the target, and no qubit is controlled twice
+  /// (qc::Circuit::append rejects both).
   [[nodiscard]] MEdge makeGate(const GateMatrix& u, Qubit target,
-                               std::span<const std::pair<Qubit, Control>> controls = {}) {
+                               std::span<const ControlSpec> controls = {}) {
     assert(target < nqubits_);
     if (controls.empty()) {
       // One node at the target level; the identity above and below stays
@@ -373,21 +376,19 @@ public:
                              system_.sub(u[3], system_.one())};
     MEdge c{nullptr, system_.one()};
     for (Qubit var = nqubits_; var-- > 0;) {
-      bool isControl = false;
-      Control polarity = Control::Positive;
-      for (const auto& [q, pol] : controls) {
-        assert(q < nqubits_ && q != target);
-        if (q == var) {
-          isControl = true;
-          polarity = pol;
-          break;
+      const ControlSpec* control = nullptr;
+      for (const ControlSpec& candidate : controls) {
+        assert(candidate.qubit < nqubits_ && candidate.qubit != target);
+        if (candidate.qubit == var) {
+          assert(control == nullptr && "qubit controlled twice");
+          control = &candidate;
         }
       }
       if (var == target) {
         c = makeMNode(var, {scale(c, uMinusI[0]), scale(c, uMinusI[1]), scale(c, uMinusI[2]),
                             scale(c, uMinusI[3])});
-      } else if (isControl) {
-        if (polarity == Control::Positive) {
+      } else if (control != nullptr) {
+        if (control->positive) {
           c = makeMNode(var, {zeroMatrix(), zeroMatrix(), zeroMatrix(), c});
         } else {
           c = makeMNode(var, {c, zeroMatrix(), zeroMatrix(), zeroMatrix()});
@@ -396,6 +397,25 @@ public:
       // else: inactive level — the identity stays implicit in the edge.
     }
     return add(makeIdentity(), enteringAt(c, 0));
+  }
+
+  /// makeGate through the gate memo (core/gate_memo.hpp): the first call
+  /// for a key builds makeGate(matrix(), key.target, key.controls), every
+  /// later one until the next garbageCollect() returns that edge.  A hit
+  /// neither allocates nor touches the weight system: `matrix` runs only on
+  /// a build.  Under a tolerance-mode system this fixes a gate's weights at
+  /// their first interning, as the lossless operation caches fix results.
+  template <class MatrixFn>
+  [[nodiscard]] MEdge memoizedGate(const GateKey& key, MatrixFn&& matrix) {
+    MEdge gate;
+    if (gateMemo_.lookup(key, gate)) {
+      stats_.gateMemo.hits.inc();
+      return gate;
+    }
+    stats_.gateMemo.builds.inc();
+    gate = makeGate(std::forward<MatrixFn>(matrix)(), key.target, key.controls);
+    gateMemo_.insert(key, gate);
+    return gate;
   }
 
   // -- arithmetic ---------------------------------------------------------------
@@ -1399,6 +1419,7 @@ private:
   ComputedTable<NodeKey, MEdge, kUnaryCacheEntries> transposeCache_;
   ComputedTable<NodePairKey, Weight, kInnerCacheEntries> innerCache_;
   ComputedTable<NodeKey, Weight, kUnaryCacheEntries> traceCache_;
+  GateMemo<MEdge> gateMemo_; ///< memoizedGate()'s built gates, cleared by GC
 };
 
 } // namespace qadd::dd

@@ -179,6 +179,8 @@ void printStatsTable(std::ostream& os, const obs::PackageStats& stats) {
   os << "gc          " << stats.gc.runs.value() << " runs, " << stats.gc.nodesSwept.value()
      << " nodes swept, " << std::setprecision(3)
      << (obs::deterministic() ? 0.0 : stats.gc.seconds) << " s\n";
+  os << "gate memo   " << stats.gateMemo.builds.value() << " builds, "
+     << stats.gateMemo.hits.value() << " hits\n";
   os << "threads     " << stats.threads << "\n";
   os << "weights     " << stats.weights.entries << " distinct";
   if (stats.weights.nearMissUnifications > 0) {
@@ -261,6 +263,8 @@ void writeStatsJson(std::ostream& os, const obs::PackageStats& stats) {
   os << ",\"gc\":{\"runs\":" << stats.gc.runs.value()
      << ",\"nodesSwept\":" << stats.gc.nodesSwept.value()
      << ",\"seconds\":" << (obs::deterministic() ? 0.0 : stats.gc.seconds) << "}";
+  os << ",\"gateMemo\":{\"builds\":" << stats.gateMemo.builds.value()
+     << ",\"hits\":" << stats.gateMemo.hits.value() << "}";
   os << ",\"threads\":" << stats.threads;
   os << ",\"weights\":{\"system\":\"" << stats.weights.system
      << "\",\"entries\":" << stats.weights.entries
@@ -315,6 +319,8 @@ void writeStatsCsv(std::ostream& os, const obs::PackageStats& stats) {
   os << "gc.nodesSwept," << stats.gc.nodesSwept.value() << "\n";
   os << "gc.seconds," << std::setprecision(12)
      << (obs::deterministic() ? 0.0 : stats.gc.seconds) << "\n";
+  os << "gateMemo.builds," << stats.gateMemo.builds.value() << "\n";
+  os << "gateMemo.hits," << stats.gateMemo.hits.value() << "\n";
   os << "threads," << stats.threads << "\n";
   os << "weights.entries," << stats.weights.entries << "\n";
   os << "weights.nearMissUnifications," << stats.weights.nearMissUnifications << "\n";

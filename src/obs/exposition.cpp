@@ -92,6 +92,12 @@ void renderPrometheus(std::ostream& os, const PackageStats& stats) {
   family(os, "qadd_gc_seconds_total", "counter", "Wall time spent in garbage collection.");
   os << "qadd_gc_seconds_total " << (deterministic() ? 0.0 : stats.gc.seconds) << "\n";
 
+  family(os, "qadd_gate_memo_builds_total", "counter", "Gate DDs built (gate-memo misses).");
+  os << "qadd_gate_memo_builds_total " << stats.gateMemo.builds.value() << "\n";
+  family(os, "qadd_gate_memo_hits_total", "counter",
+         "Gate applications answered from the gate memo.");
+  os << "qadd_gate_memo_hits_total " << stats.gateMemo.hits.value() << "\n";
+
   family(os, "qadd_threads", "gauge", "Worker threads that contributed to this snapshot.");
   os << "qadd_threads " << stats.threads << "\n";
 

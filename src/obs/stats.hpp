@@ -232,6 +232,22 @@ struct ApproxStats {
   }
 };
 
+/// Gate-memo statistics (dd::Package::memoizedGate): gate DDs built, and
+/// gate applications answered from the memo instead.  A circuit of G gates
+/// with D distinct operations, run without a garbage collection, counts D
+/// builds and G - D hits; every collection clears the memo, so a gate used
+/// again afterwards is built again.
+struct GateMemoStats {
+  Counter builds;
+  Counter hits;
+
+  GateMemoStats& operator+=(const GateMemoStats& other) {
+    builds += other.builds;
+    hits += other.hits;
+    return *this;
+  }
+};
+
 /// The full counter block of one dd::Package.  Counters are maintained
 /// inline by the package; gauges (live/peak nodes, weight-table view) are
 /// filled when a snapshot is taken via Package::stats().
@@ -256,6 +272,7 @@ struct PackageStats {
   GcStats gc;
   IoStats io;
   ApproxStats approx;
+  GateMemoStats gateMemo;
 
   // Gauges (snapshot time).
   std::size_t liveNodes = 0;
@@ -310,6 +327,7 @@ struct PackageStats {
     gc += other.gc;
     io += other.io;
     approx += other.approx;
+    gateMemo += other.gateMemo;
     liveNodes = std::max(liveNodes, other.liveNodes);
     peakNodes = std::max(peakNodes, other.peakNodes);
     arenaBytes = std::max(arenaBytes, other.arenaBytes);

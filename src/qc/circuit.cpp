@@ -1,5 +1,6 @@
 #include "qc/circuit.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -10,12 +11,19 @@ Circuit& Circuit::append(Operation operation) {
   if (operation.target >= nqubits_) {
     throw std::out_of_range("Circuit: target qubit out of range");
   }
-  for (const ControlSpec& control : operation.controls) {
-    if (control.qubit >= nqubits_) {
+  const auto& controls = operation.controls;
+  for (auto control = controls.begin(); control != controls.end(); ++control) {
+    if (control->qubit >= nqubits_) {
       throw std::out_of_range("Circuit: control qubit out of range");
     }
-    if (control.qubit == operation.target) {
+    if (control->qubit == operation.target) {
       throw std::invalid_argument("Circuit: control equals target");
+    }
+    // A qubit controlled twice has no single polarity (with opposite
+    // polarities the projector product is 0), so it is rejected.
+    if (std::any_of(controls.begin(), control,
+                    [&](const ControlSpec& earlier) { return earlier.qubit == control->qubit; })) {
+      throw std::invalid_argument("Circuit: control qubit repeated");
     }
   }
   operations_.push_back(std::move(operation));

@@ -3,6 +3,7 @@
 /// applications on a fixed register, with a simple text round-trip format.
 #pragma once
 
+#include "core/dd_node.hpp"
 #include "qc/gates.hpp"
 
 #include <cstdint>
@@ -12,14 +13,11 @@
 
 namespace qadd::qc {
 
-using Qubit = std::uint32_t;
+using dd::Qubit;
 
-/// A control qubit with polarity (positive = active on |1>).
-struct ControlSpec {
-  Qubit qubit;
-  bool positive = true;
-  friend bool operator==(const ControlSpec&, const ControlSpec&) = default;
-};
+/// A control qubit with polarity (positive = active on |1>); the DD
+/// package's own control type, so operations reach makeGate unconverted.
+using dd::ControlSpec;
 
 /// One gate application.
 struct Operation {

@@ -346,36 +346,44 @@ Circuit fromQasm(const std::string& source) {
                    ", got " + std::to_string(operands.size()));
       }
     };
-    if (name == "id") {
-      need(1);
-      circuit.gate(GateKind::I, operands[0]);
-    } else if (name == "x" || name == "y" || name == "z" || name == "h" || name == "s" ||
-               name == "sdg" || name == "t" || name == "tdg") {
-      need(1);
-      circuit.gate(gateKindFromName(name), operands[0]);
-    } else if (name == "rx" || name == "ry" || name == "rz") {
-      need(1);
-      circuit.append({gateKindFromName(name), angle, operands[0], {}});
-    } else if (name == "p" || name == "u1") {
-      need(1);
-      circuit.phase(angle, operands[0]);
-    } else if (name == "cx" || name == "CX") {
-      need(2);
-      circuit.cx(operands[0], operands[1]);
-    } else if (name == "cz") {
-      need(2);
-      circuit.cz(operands[0], operands[1]);
-    } else if (name == "ccx") {
-      need(3);
-      circuit.ccx(operands[0], operands[1], operands[2]);
-    } else if (name == "swap") {
-      need(2);
-      circuit.swap(operands[0], operands[1]);
-    } else if (name == "cp" || name == "cu1") {
-      need(2);
-      circuit.controlled(GateKind::Phase, operands[1], {{operands[0], true}}, angle);
-    } else {
-      failAt(source, statement.offset, name, "unsupported gate");
+    // Circuit::append's operand checks (a control equal to the target or
+    // repeated) become parse errors at the statement.
+    try {
+      if (name == "id") {
+        need(1);
+        circuit.gate(GateKind::I, operands[0]);
+      } else if (name == "x" || name == "y" || name == "z" || name == "h" || name == "s" ||
+                 name == "sdg" || name == "t" || name == "tdg") {
+        need(1);
+        circuit.gate(gateKindFromName(name), operands[0]);
+      } else if (name == "rx" || name == "ry" || name == "rz") {
+        need(1);
+        circuit.append({gateKindFromName(name), angle, operands[0], {}});
+      } else if (name == "p" || name == "u1") {
+        need(1);
+        circuit.phase(angle, operands[0]);
+      } else if (name == "cx" || name == "CX") {
+        need(2);
+        circuit.cx(operands[0], operands[1]);
+      } else if (name == "cz") {
+        need(2);
+        circuit.cz(operands[0], operands[1]);
+      } else if (name == "ccx") {
+        need(3);
+        circuit.ccx(operands[0], operands[1], operands[2]);
+      } else if (name == "swap") {
+        need(2);
+        circuit.swap(operands[0], operands[1]);
+      } else if (name == "cp" || name == "cu1") {
+        need(2);
+        circuit.controlled(GateKind::Phase, operands[1], {{operands[0], true}}, angle);
+      } else {
+        failAt(source, statement.offset, name, "unsupported gate");
+      }
+    } catch (const ParseError&) {
+      throw;
+    } catch (const std::invalid_argument& error) {
+      failAt(source, statement.offset, statement.text, error.what());
     }
   }
   return circuit;

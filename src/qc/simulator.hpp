@@ -17,6 +17,8 @@
 #include "qc/circuit.hpp"
 #include "qc/gates.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -49,19 +51,17 @@ makeWeightMatrix(dd::Package<System>& package, const Operation& operation) {
   return matrix;
 }
 
-/// Build the full n-qubit DD of one operation (target + controls embedded).
+/// The full n-qubit DD of one operation (target + controls embedded),
+/// built once per package and then served from its gate memo until the next
+/// garbage collection (dd::Package::memoizedGate).  The key is what fixes
+/// the gate: kind, the angle's bit pattern, target and controls.
 template <class System>
 [[nodiscard]] typename dd::Package<System>::MEdge
 makeOperationDD(dd::Package<System>& package, const Operation& operation) {
-  const auto matrix = makeWeightMatrix(package, operation);
-  std::vector<std::pair<dd::Qubit, typename dd::Package<System>::Control>> controls;
-  controls.reserve(operation.controls.size());
-  for (const ControlSpec& control : operation.controls) {
-    controls.push_back({control.qubit, control.positive
-                                           ? dd::Package<System>::Control::Positive
-                                           : dd::Package<System>::Control::Negative});
-  }
-  return package.makeGate(matrix, operation.target, controls);
+  const dd::GateKey key{static_cast<std::uint32_t>(operation.kind),
+                        std::bit_cast<std::uint64_t>(operation.angle), operation.target,
+                        operation.controls};
+  return package.memoizedGate(key, [&] { return makeWeightMatrix(package, operation); });
 }
 
 /// Step-wise circuit simulator.  Use `Simulator<dd::NumericSystem>` for the

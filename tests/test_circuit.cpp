@@ -25,6 +25,24 @@ TEST(Circuit, BoundsChecking) {
   EXPECT_THROW(c.cx(1, 1), std::invalid_argument); // control == target
 }
 
+TEST(Circuit, RepeatedControlQubitIsRejected) {
+  // X(0), then X on qubit 2 controlled on qubit 0 being both |1> and |0>:
+  // the projector product is 0, so the gate is the identity — but the DD
+  // builder has one polarity per level.  Every entry point rejects it.
+  Circuit c(3);
+  c.x(0);
+  EXPECT_THROW(c.controlled(GateKind::X, 2, {{0, true}, {0, false}}), std::invalid_argument);
+  EXPECT_THROW(c.controlled(GateKind::X, 2, {{0, true}, {1, true}, {0, true}}),
+               std::invalid_argument);
+  EXPECT_THROW(c.mcx({1, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(c.ccx(0, 0, 2), std::invalid_argument);
+  EXPECT_EQ(c.size(), 1U); // a rejected operation is not recorded
+  EXPECT_THROW((void)Circuit::fromText("qubits 3\nx q0\nx q2 ctrl q0 nctrl q0\n"),
+               std::invalid_argument);
+  c.controlled(GateKind::X, 2, {{0, true}, {1, false}}); // distinct qubits stay fine
+  EXPECT_EQ(c.size(), 2U);
+}
+
 TEST(Circuit, SwapExpandsToThreeCnots) {
   Circuit c(2);
   c.swap(0, 1);

@@ -148,6 +148,8 @@ TEST(StatsMerge, CountersSumGaugesMax) {
   a.peakNodes = 70;
   a.gc.runs.inc(2);
   a.gc.seconds = 0.5;
+  a.gateMemo.builds.inc(3);
+  a.gateMemo.hits.inc(40);
   a.weights.entries = 12;
   a.weights.nearMissUnifications = 3;
   a.weights.bitWidthHistogram = {0, 2, 1};
@@ -161,6 +163,8 @@ TEST(StatsMerge, CountersSumGaugesMax) {
   b.peakNodes = 31;
   b.gc.runs.inc(1);
   b.gc.seconds = 0.25;
+  b.gateMemo.builds.inc(2);
+  b.gateMemo.hits.inc(8);
   b.weights.entries = 9;
   b.weights.nearMissUnifications = 4;
   b.weights.bitWidthHistogram = {1, 1, 1, 1};
@@ -171,6 +175,8 @@ TEST(StatsMerge, CountersSumGaugesMax) {
     EXPECT_EQ(a.mv.misses.value(), 7U);
     EXPECT_EQ(a.vUnique.lookups.value(), 150U);
     EXPECT_EQ(a.gc.runs.value(), 3U);
+    EXPECT_EQ(a.gateMemo.builds.value(), 5U);
+    EXPECT_EQ(a.gateMemo.hits.value(), 48U);
   }
   EXPECT_EQ(a.vUnique.entries, 90U);   // gauge: max
   EXPECT_EQ(a.liveNodes, 30U);         // gauge: max

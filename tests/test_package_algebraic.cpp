@@ -86,7 +86,7 @@ TEST(AlgebraicPackage, AmplitudesAreExactlyConverted) {
   Pkg p(2);
   auto state = p.makeZeroState();
   const auto h0 = p.makeGate(gateOf(p, qc::GateKind::H), 0);
-  const std::pair<Qubit, Pkg::Control> controls[] = {{0, Pkg::Control::Positive}};
+  const ControlSpec controls[] = {{0, true}};
   const auto cnot = p.makeGate(gateOf(p, qc::GateKind::X), 1, controls);
   state = p.multiply(cnot, p.multiply(h0, state));
   const auto amplitudes = p.amplitudes(state);

@@ -154,7 +154,7 @@ TEST(NumericPackage, MatrixMatrixAgainstDense) {
 TEST(NumericPackage, ControlledGatesMatchDense) {
   Pkg p(3, exactConfig());
   // CNOT(control 0, target 2) with an uninvolved middle qubit.
-  const std::pair<Qubit, Pkg::Control> controls[] = {{0, Pkg::Control::Positive}};
+  const ControlSpec controls[] = {{0, true}};
   const auto cnot = p.makeGate(gateOf(p, qc::GateKind::X), 2, controls);
   const la::Matrix dense = toDenseMatrix(p, cnot);
   for (std::size_t row = 0; row < 8; ++row) {
@@ -167,7 +167,7 @@ TEST(NumericPackage, ControlledGatesMatchDense) {
 
 TEST(NumericPackage, NegativeControl) {
   Pkg p(2, exactConfig());
-  const std::pair<Qubit, Pkg::Control> controls[] = {{0, Pkg::Control::Negative}};
+  const ControlSpec controls[] = {{0, false}};
   const auto gate = p.makeGate(gateOf(p, qc::GateKind::X), 1, controls);
   const la::Matrix dense = toDenseMatrix(p, gate);
   // X applies when control is |0>: swaps columns 0/1, identity on 2/3.
@@ -192,7 +192,7 @@ TEST(NumericPackage, KroneckerMatchesDense) {
 
 TEST(NumericPackage, ConjugateTransposeUnitarity) {
   Pkg p(3, exactConfig());
-  const std::pair<Qubit, Pkg::Control> controls[] = {{1, Pkg::Control::Positive}};
+  const ControlSpec controls[] = {{1, true}};
   auto u = p.makeGate(gateOf(p, qc::GateKind::V), 2, controls);
   u = p.multiply(p.makeGate(gateOf(p, qc::GateKind::H), 0), u);
   const auto uDagger = p.conjugateTranspose(u);

@@ -116,6 +116,19 @@ TEST(Qasm, ParseErrorCarriesPositionAndToken) {
   EXPECT_EQ(expression.line(), 3U);
   EXPECT_GE(expression.column(), 4U);
 
+  // Operand checks of the circuit IR surface at the statement, too.
+  const auto repeated = capture([] {
+    (void)fromQasm("OPENQASM 2.0;\nqreg q[3];\nx q[0];\nccx q[0], q[0], q[2];\n");
+  });
+  EXPECT_EQ(repeated.line(), 4U);
+  EXPECT_EQ(repeated.column(), 1U);
+  EXPECT_NE(std::string(repeated.what()).find("control qubit repeated"), std::string::npos);
+  const auto selfControl = capture([] {
+    (void)fromQasm("OPENQASM 2.0;\nqreg q[2];\ncx q[1], q[1];\n");
+  });
+  EXPECT_EQ(selfControl.line(), 3U);
+  EXPECT_NE(std::string(selfControl.what()).find("control equals target"), std::string::npos);
+
   // Comments are blanked, not deleted, so positions survive comment lines.
   const auto afterComment = capture([] {
     (void)fromQasm("OPENQASM 2.0; // header comment\nqreg q[1];\n// another\n  h q[3];\n");

@@ -585,6 +585,36 @@ TEST(ServeServer, RunBytesIndependentOfWorkerCount) {
   }
 }
 
+TEST(ServeServer, RepeatedControlQubitIsAStructuredError) {
+  serve::Server server(testConfig());
+  server.start();
+  serve::Client client = connectTo(server);
+  ASSERT_TRUE(openSession(client, "dup", "alg", 3).getBool("ok"));
+  serve::json::Value text = makeRequest("run");
+  text.set("session", "dup");
+  text.set("circuit", "qubits 3\nx q0\nx q2 ctrl q0 nctrl q0\n");
+  const serve::json::Value textReply = client.call(text);
+  EXPECT_FALSE(textReply.getBool("ok"));
+  EXPECT_EQ(errorCode(textReply), serve::kBadRequest);
+  EXPECT_NE(textReply.find("error")->getString("message").find("control qubit repeated"),
+            std::string::npos);
+
+  serve::json::Value qasm = makeRequest("run");
+  qasm.set("session", "dup");
+  qasm.set("qasm", "OPENQASM 2.0;\nqreg q[3];\nx q[0];\nccx q[0], q[0], q[2];\n");
+  const serve::json::Value qasmReply = client.call(qasm);
+  EXPECT_FALSE(qasmReply.getBool("ok"));
+  EXPECT_EQ(errorCode(qasmReply), serve::kBadRequest);
+  EXPECT_EQ(qasmReply.find("error")->getNumber("line"), 4.0);
+  // The session is unharmed: a well-formed job still runs.
+  serve::json::Value good = makeRequest("run");
+  good.set("session", "dup");
+  good.set("circuit", "qubits 3\nx q0\nx q2 ctrl q0 nctrl q1\n");
+  const serve::json::Value wellFormed = client.call(good);
+  EXPECT_TRUE(wellFormed.getBool("ok")) << serve::json::dump(wellFormed);
+  server.stop();
+}
+
 TEST(ServeServer, ShutdownRefusesNewWorkWith503) {
   serve::Server server(testConfig());
   server.start();
