@@ -34,8 +34,8 @@ constexpr double kSpeedupGate = 1.8;
 /// Timed serial/parallel pairs after the warm-up; each side reports its best.
 constexpr int kTimedPairs = 3;
 
-/// The value columns of one trace (everything writeCsv emits except the
-/// wall-clock `seconds` and the address-sensitive `cachehitrate`).
+/// The integral value columns of one trace (writeCsv's gate, nodes, maxbits
+/// and tablefill).
 std::vector<std::size_t> valueSeries(const eval::SimulationTrace& trace) {
   std::vector<std::size_t> values;
   values.reserve(trace.points.size() * 4);

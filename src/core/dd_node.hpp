@@ -12,8 +12,11 @@
 ///    memory-manager free-list link);
 ///  - `ref`: the reference count (one per parent edge plus external
 ///    incRef/decRef references);
-///  - `seq`: the package's insert serial, a heap-layout-independent stand-in
-///    for address order wherever a total order over nodes is needed
+///  - `seq`: the package's insert serial, never reused within a package.  It
+///    is the node's hash identity (`nodeId`: unique-table content hashes and
+///    every operation-cache key), so slot choice and every cache and table
+///    counter follow the circuit, not the heap layout; it also stands in for
+///    address order wherever a total order over nodes is needed
 ///    (add-operand canonicalization);
 ///  - `visit`: a visit-epoch mark enabling allocation-free traversals
 ///    (node counting, export) — a node is "seen" iff its mark equals the
@@ -83,7 +86,7 @@ template <class WeightT, std::size_t N> struct Node {
   Node* next = nullptr;            ///< unique-table chain / free-list link
   Qubit var = 0;
   std::uint32_t ref = 0;
-  std::uint64_t seq = 0;           ///< per-package insert serial (stable operand order)
+  std::uint64_t seq = 0;           ///< per-package insert serial (hash identity, operand order)
   mutable std::uint64_t visit = 0; ///< visit-epoch mark, or prune's base + ordinal
 };
 
@@ -104,13 +107,14 @@ namespace detail {
   return mix64(h ^ (value + 0x9e3779b97f4a7c15ULL + (h << 6U) + (h >> 2U)));
 }
 
-/// Pointers are arena addresses with identical low alignment bits; shift
-/// them out before mixing.
-[[nodiscard]] inline std::uint64_t pointerBits(const void* p) noexcept {
-  return reinterpret_cast<std::uintptr_t>(p) >> 3U;
-}
-
 } // namespace detail
+
+/// The hash identity of an edge target: 0 for the terminal, `seq + 1` for a
+/// node.  Serials are never reused, so keys built from it are as exact as
+/// keys built from pointers and do not depend on the heap layout.
+template <class NodeT> [[nodiscard]] std::uint64_t nodeId(const NodeT* node) noexcept {
+  return node == nullptr ? 0 : node->seq + 1;
+}
 
 /// Key memoizing a binary operation over interned weight handles — the
 /// weight-op caches both weight systems layer over their intern pools.
@@ -126,17 +130,16 @@ struct WeightPairKey {
 };
 
 /// Content hash of a prospective node: its variable plus each child's
-/// (pointer, weight, entering level) triple.  Weights must be integral
+/// (nodeId, weight, entering level) triple.  Weights must be integral
 /// handles (both weight systems intern their values to std::uint32_t refs).
-/// The child var is folded into the pointer word (arena addresses never
-/// reach the high bits) so skip-level edges hash as the canonical content
-/// the unique table's operator== compares — at zero extra mixing cost.
+/// The child var is folded into the id word (serials never reach the high
+/// bits) so skip-level edges hash as the canonical content the unique
+/// table's operator== compares — at zero extra mixing cost.
 template <class EdgeT, std::size_t N>
 [[nodiscard]] std::uint64_t hashNodeContents(Qubit var, const std::array<EdgeT, N>& children) noexcept {
   std::uint64_t h = detail::mix64(var);
   for (const EdgeT& child : children) {
-    h = detail::hashCombine(h, detail::pointerBits(child.node) ^
-                                   (static_cast<std::uint64_t>(child.var) << 48U));
+    h = detail::hashCombine(h, nodeId(child.node) ^ (static_cast<std::uint64_t>(child.var) << 48U));
     h = detail::hashCombine(h, static_cast<std::uint64_t>(child.w));
   }
   return h;

@@ -448,7 +448,7 @@ public:
     if (a.isTerminal()) {
       return {nullptr, w};
     }
-    const NodeKey key{a.node};
+    const NodeKey key{nodeId(a.node)};
     MEdge hit;
     if (transposeCache_.lookup(key, hit)) {
       stats_.transpose.hits.inc();
@@ -523,7 +523,7 @@ public:
       return w;
     }
     assert(!a.isTerminal() && !b.isTerminal() && a.node->var == b.node->var);
-    const NodePairKey key{a.node, b.node};
+    const NodePairKey key{nodeId(a.node), nodeId(b.node)};
     Weight hit;
     if (innerCache_.lookup(key, hit)) {
       stats_.inner.hits.inc();
@@ -772,36 +772,36 @@ public:
 private:
   // -- operation-cache keys ------------------------------------------------------
   // Trivially copyable PODs with strong 64-bit hashes (the computed tables
-  // are direct-mapped, so the hash must avalanche into the low bits).
+  // are direct-mapped, so the hash must avalanche into the low bits).  Nodes
+  // enter keys as their nodeId, so slot choice follows the circuit, not the
+  // heap layout.
 
   struct EdgeKey {
-    const void* n1;
+    std::uint64_t n1;
     Weight w1;
-    const void* n2;
+    std::uint64_t n2;
     Weight w2;
     friend bool operator==(const EdgeKey&, const EdgeKey&) = default;
     [[nodiscard]] std::uint64_t hash() const noexcept {
-      std::uint64_t h = detail::mix64(detail::pointerBits(n1));
+      std::uint64_t h = detail::mix64(n1);
       h = detail::hashCombine(h, static_cast<std::uint64_t>(w1));
-      h = detail::hashCombine(h, detail::pointerBits(n2));
+      h = detail::hashCombine(h, n2);
       h = detail::hashCombine(h, static_cast<std::uint64_t>(w2));
       return h;
     }
   };
   struct NodePairKey {
-    const void* n1;
-    const void* n2;
+    std::uint64_t n1;
+    std::uint64_t n2;
     friend bool operator==(const NodePairKey&, const NodePairKey&) = default;
     [[nodiscard]] std::uint64_t hash() const noexcept {
-      return detail::hashCombine(detail::mix64(detail::pointerBits(n1)), detail::pointerBits(n2));
+      return detail::hashCombine(detail::mix64(n1), n2);
     }
   };
   struct NodeKey {
-    const void* n;
+    std::uint64_t n;
     friend bool operator==(const NodeKey&, const NodeKey&) = default;
-    [[nodiscard]] std::uint64_t hash() const noexcept {
-      return detail::mix64(detail::pointerBits(n));
-    }
+    [[nodiscard]] std::uint64_t hash() const noexcept { return detail::mix64(n); }
   };
 
   // -- per-arity tables ----------------------------------------------------------
@@ -882,7 +882,7 @@ private:
     const bool ordered = a.isTerminal() || (!b.isTerminal() && orderForAdd(a, b));
     const EdgeT& x = ordered ? a : b;
     const EdgeT& y = ordered ? b : a;
-    const EdgeKey key{x.node, x.w, y.node, y.w};
+    const EdgeKey key{nodeId(x.node), x.w, nodeId(y.node), y.w};
     using Tables = ArityTables<typename EdgeT::Node>;
     auto& cache = std::get<Tables>(tables_).addCache;
     obs::CacheStats& cacheStats = stats_.*Tables::kAddStats;
@@ -955,7 +955,7 @@ private:
     assert(m.var == v.var && "multiply operands must enter at the same level");
     const Qubit entering = v.var;
     const Qubit core = std::min(m.node->var, levelOf(v));
-    const NodePairKey key{m.node, v.node};
+    const NodePairKey key{nodeId(m.node), nodeId(v.node)};
     using Tables = ArityTables<typename REdge::Node>;
     auto& cache = std::get<Tables>(tables_).mulCache;
     obs::CacheStats& cacheStats = stats_.*Tables::kMulStats;
@@ -1018,7 +1018,7 @@ private:
         return EdgeT{bottom.node, w, bottom.node != nullptr ? top.var : 0};
       }
     }
-    const NodePairKey key{top.node, bottom.node};
+    const NodePairKey key{nodeId(top.node), nodeId(bottom.node)};
     using Tables = ArityTables<typename EdgeT::Node>;
     auto& cache = std::get<Tables>(tables_).kronCache;
     obs::CacheStats& cacheStats = stats_.*Tables::kKronStats;
@@ -1089,7 +1089,7 @@ private:
       return system_.mul(a.w, pow2Weight(nqubits_ - level));
     }
     Weight per = system_.zero();
-    const NodeKey key{a.node};
+    const NodeKey key{nodeId(a.node)};
     if (traceCache_.lookup(key, per)) {
       stats_.trace.hits.inc();
     } else {

@@ -35,9 +35,8 @@ double component(const TracePoint& point, Series series) {
 } // namespace
 
 void writeCsv(std::ostream& os, const std::vector<SimulationTrace>& traces) {
-  // In deterministic-output mode the wall-clock column and the cache-hit-rate
-  // column (sensitive to pointer-hash layout) are written as 0, so two runs
-  // produce byte-identical CSVs.
+  // In deterministic-output mode the wall-clock column is written as 0, so
+  // two runs produce byte-identical CSVs.
   const bool deterministic = obs::deterministic();
   os << "series,gate,nodes,seconds,error,maxbits,peaknodes,cachehitrate,tablefill,fidelity,"
         "prunednodes\n";
@@ -46,8 +45,8 @@ void writeCsv(std::ostream& os, const std::vector<SimulationTrace>& traces) {
     for (const TracePoint& point : trace.points) {
       os << trace.label << "," << point.gateIndex << "," << point.nodes << ","
          << (deterministic ? 0.0 : point.seconds) << "," << point.error << "," << point.maxBits
-         << "," << point.peakNodes << "," << (deterministic ? 0.0 : point.cacheHitRate) << ","
-         << point.tableFill << "," << point.fidelity << "," << point.prunedNodes << "\n";
+         << "," << point.peakNodes << "," << point.cacheHitRate << "," << point.tableFill << ","
+         << point.fidelity << "," << point.prunedNodes << "\n";
     }
   }
 }
@@ -167,8 +166,7 @@ void printStatsTable(std::ostream& os, const obs::PackageStats& stats) {
   const auto uniqueRow = [&](std::string_view name, const obs::UniqueTableStats& table) {
     os << std::left << std::setw(12) << name << std::right << std::setw(14)
        << table.lookups.value() << " lookups" << std::setw(14) << table.hits.value() << " hits"
-       << std::setw(12) << (obs::deterministic() ? 0 : table.collisions.value())
-       << " collisions  " << table.entries << "/"
+       << std::setw(12) << table.collisions.value() << " collisions  " << table.entries << "/"
        << table.buckets << " fill\n";
   };
   uniqueRow("vUnique", stats.vUnique);
@@ -251,7 +249,7 @@ void writeStatsJson(std::ostream& os, const obs::PackageStats& stats) {
   const auto uniqueJson = [&os](const char* name, const obs::UniqueTableStats& table) {
     os << "\"" << name << "\":{\"lookups\":" << table.lookups.value()
        << ",\"hits\":" << table.hits.value()
-       << ",\"collisions\":" << (obs::deterministic() ? 0 : table.collisions.value())
+       << ",\"collisions\":" << table.collisions.value()
        << ",\"entries\":" << table.entries << ",\"buckets\":" << table.buckets << "}";
   };
   uniqueJson("vector", stats.vUnique);
@@ -291,56 +289,6 @@ void writeStatsJson(std::ostream& os, const obs::PackageStats& stats) {
   os << ",\"approx\":{\"pruneRuns\":" << stats.approx.pruneRuns.value()
      << ",\"edgesPruned\":" << stats.approx.edgesPruned.value()
      << ",\"nodesRemoved\":" << stats.approx.nodesRemoved.value() << "}}";
-}
-
-void writeStatsCsv(std::ostream& os, const obs::PackageStats& stats) {
-  os << "counter,value\n";
-  for (const auto& [name, cache] : stats.caches()) {
-    os << "cache." << name << ".hits," << cache->hits.value() << "\n";
-    os << "cache." << name << ".misses," << cache->misses.value() << "\n";
-    os << "cache." << name << ".evictions," << cache->evictions.value() << "\n";
-  }
-  const auto uniqueRows = [&os](const char* name, const obs::UniqueTableStats& table) {
-    os << "unique." << name << ".lookups," << table.lookups.value() << "\n";
-    os << "unique." << name << ".hits," << table.hits.value() << "\n";
-    os << "unique." << name << ".collisions,"
-       << (obs::deterministic() ? 0 : table.collisions.value()) << "\n";
-    os << "unique." << name << ".entries," << table.entries << "\n";
-    os << "unique." << name << ".buckets," << table.buckets << "\n";
-  };
-  uniqueRows("vector", stats.vUnique);
-  uniqueRows("matrix", stats.mUnique);
-  os << "nodes.allocations," << stats.nodeAllocations.value() << "\n";
-  os << "nodes.reuses," << stats.nodeReuses.value() << "\n";
-  os << "nodes.live," << stats.liveNodes << "\n";
-  os << "nodes.peak," << stats.peakNodes << "\n";
-  os << "nodes.arenaBytes," << stats.arenaBytes << "\n";
-  os << "gc.runs," << stats.gc.runs.value() << "\n";
-  os << "gc.nodesSwept," << stats.gc.nodesSwept.value() << "\n";
-  os << "gc.seconds," << std::setprecision(12)
-     << (obs::deterministic() ? 0.0 : stats.gc.seconds) << "\n";
-  os << "gateMemo.builds," << stats.gateMemo.builds.value() << "\n";
-  os << "gateMemo.hits," << stats.gateMemo.hits.value() << "\n";
-  os << "threads," << stats.threads << "\n";
-  os << "weights.entries," << stats.weights.entries << "\n";
-  os << "weights.nearMissUnifications," << stats.weights.nearMissUnifications << "\n";
-  os << "weights.opCache.hits," << stats.weights.opCache.hits.value() << "\n";
-  os << "weights.opCache.misses," << stats.weights.opCache.misses.value() << "\n";
-  os << "weights.opCache.evictions," << stats.weights.opCache.evictions.value() << "\n";
-  os << "alg.smallPathHits," << stats.weights.smallPathHits << "\n";
-  os << "alg.smallPathSpills," << stats.weights.smallPathSpills << "\n";
-  os << "io.snapshotsSaved," << stats.io.snapshotsSaved.value() << "\n";
-  os << "io.snapshotsLoaded," << stats.io.snapshotsLoaded.value() << "\n";
-  os << "io.nodesWritten," << stats.io.nodesWritten.value() << "\n";
-  os << "io.nodesRead," << stats.io.nodesRead.value() << "\n";
-  os << "io.weightsWritten," << stats.io.weightsWritten.value() << "\n";
-  os << "io.weightsRead," << stats.io.weightsRead.value() << "\n";
-  os << "io.bytesWritten," << stats.io.bytesWritten.value() << "\n";
-  os << "io.bytesRead," << stats.io.bytesRead.value() << "\n";
-  os << "io.loadDedupNodes," << stats.io.loadDedupNodes.value() << "\n";
-  os << "approx.pruneRuns," << stats.approx.pruneRuns.value() << "\n";
-  os << "approx.edgesPruned," << stats.approx.edgesPruned.value() << "\n";
-  os << "approx.nodesRemoved," << stats.approx.nodesRemoved.value() << "\n";
 }
 
 ObsCliOptions parseObsCli(int& argc, char** argv) {

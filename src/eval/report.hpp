@@ -2,8 +2,8 @@
 /// Presentation of simulation traces and telemetry: CSV emission (one row
 /// per sample, one file per experiment — the data behind each figure),
 /// compact console rendering (summary table + ASCII charts of the per-gate
-/// series), and machine-readable emitters for the obs::PackageStats counter
-/// block (human table, JSON, CSV).
+/// series), and emitters for the obs::PackageStats counter block (human
+/// table, JSON).
 #pragma once
 
 #include "eval/trace.hpp"
@@ -41,9 +41,6 @@ void printStatsTable(std::ostream& os, const obs::PackageStats& stats);
 /// object; histograms as arrays).
 void writeStatsJson(std::ostream& os, const obs::PackageStats& stats);
 
-/// Flat CSV (counter,value) with dotted counter paths, e.g. "cache.mv.hits".
-void writeStatsCsv(std::ostream& os, const obs::PackageStats& stats);
-
 // -- CLI glue -------------------------------------------------------------------
 
 /// Telemetry and snapshot flags shared by the bench drivers and examples:
@@ -55,10 +52,9 @@ void writeStatsCsv(std::ostream& os, const obs::PackageStats& stats);
 ///                          <base>.json + <base>.csv at the end of the run
 ///   --profile-final        capture each series' final state and print its
 ///                          per-level structural profile (obs::profileDd)
-///   --obs-deterministic    zero the wall-clock-derived and address-sensitive
-///                          columns of every emitter (CSV seconds/cachehitrate,
-///                          gc.seconds, unique collisions, timeline seconds)
-///                          for byte-comparable output
+///   --obs-deterministic    zero the wall-clock fields of every emitter (CSV
+///                          seconds, gc seconds, timeline seconds) for
+///                          byte-comparable output
 ///   --checkpoint-every K   write a QCKP simulator checkpoint every K gates
 ///   --checkpoint-prefix P  checkpoint path prefix (default "checkpoint_g";
 ///                          files are <P><gateIndex>.qckp)

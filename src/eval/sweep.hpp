@@ -10,8 +10,8 @@
 /// docs/PARALLELISM.md), so the fan-out is embarrassingly parallel and the
 /// result is deterministic: traces come back in spec order with values
 /// byte-identical to a serial run regardless of worker count or completion
-/// order — only wall-clock columns (seconds, address-sensitive cache hit
-/// rates) may differ between runs, exactly as between two serial runs.
+/// order — only the wall-clock seconds column may differ between runs,
+/// exactly as between two serial runs.
 #pragma once
 
 #include "core/numeric_system.hpp"

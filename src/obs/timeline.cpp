@@ -151,8 +151,8 @@ void Timeline::writeJson(std::ostream& os) const {
        << ",\"liveNodes\":" << sample.liveNodes << ",\"peakNodes\":" << sample.peakNodes
        << ",\"arenaBytes\":" << sample.arenaBytes << ",\"uniqueEntries\":" << sample.uniqueEntries
        << ",\"uniqueBuckets\":" << sample.uniqueBuckets
-       << ",\"uniqueCollisions\":" << (det ? 0 : sample.uniqueCollisions)
-       << ",\"cacheHitRate\":" << (det ? 0.0 : sample.cacheHitRate)
+       << ",\"uniqueCollisions\":" << sample.uniqueCollisions
+       << ",\"cacheHitRate\":" << sample.cacheHitRate
        << ",\"gcRuns\":" << sample.gcRuns << ",\"smallPathHits\":" << sample.smallPathHits
        << ",\"smallPathSpills\":" << sample.smallPathSpills
        << ",\"weightEntries\":" << sample.weightEntries
@@ -183,10 +183,10 @@ void Timeline::writeCsv(std::ostream& os) const {
     os << sample.series << "," << kindName(sample.kind) << "," << sample.tid << ","
        << sample.gateIndex << "," << sample.epsilon << "," << sample.liveNodes << ","
        << sample.peakNodes << "," << sample.arenaBytes << "," << sample.uniqueEntries << ","
-       << sample.uniqueBuckets << "," << (det ? 0 : sample.uniqueCollisions) << ","
-       << (det ? 0.0 : sample.cacheHitRate) << "," << sample.gcRuns << ","
-       << sample.smallPathHits << "," << sample.smallPathSpills << "," << sample.weightEntries
-       << "," << sample.prunedNodes << "," << (det ? 0.0 : sample.seconds) << "\n";
+       << sample.uniqueBuckets << "," << sample.uniqueCollisions << "," << sample.cacheHitRate
+       << "," << sample.gcRuns << "," << sample.smallPathHits << "," << sample.smallPathSpills
+       << "," << sample.weightEntries << "," << sample.prunedNodes << ","
+       << (det ? 0.0 : sample.seconds) << "\n";
   }
 }
 

@@ -111,8 +111,7 @@ public:
   [[nodiscard]] std::vector<Sample> samplesSnapshot() const;
 
   /// JSON object: {"dropped":N,"samples":[{...},...]}.  In deterministic
-  /// mode the seconds, cacheHitRate and uniqueCollisions fields (and CSV
-  /// columns) are written as 0.
+  /// mode the seconds field (and CSV column) is written as 0.
   void writeJson(std::ostream& os) const;
   bool writeJson(const std::string& path) const;
 

@@ -5,6 +5,7 @@
 /// thread-safe span tracer, and the determinism contract of eval::runSweep —
 /// a parallel sweep must produce byte-identical value columns and final
 /// state snapshots to the serial path.
+#include "algebraic/small_kernels.hpp"
 #include "algorithms/grover.hpp"
 #include "eval/report.hpp"
 #include "eval/sweep.hpp"
@@ -281,9 +282,6 @@ TEST(StatsMerge, EmittersRenderThreadsRow) {
   std::ostringstream json;
   eval::writeStatsJson(json, stats);
   EXPECT_NE(json.str().find("\"threads\":4"), std::string::npos);
-  std::ostringstream csv;
-  eval::writeStatsCsv(csv, stats);
-  EXPECT_NE(csv.str().find("threads,4"), std::string::npos);
 }
 
 // -- tracer thread safety -------------------------------------------------------
@@ -327,14 +325,22 @@ TEST(TracerThreads, ConcurrentSpansRecordDistinctTids) {
 namespace {
 
 /// writeCsv output in obs deterministic-output mode: the emitter itself
-/// zeroes the wall-clock (`seconds`) and address-sensitive (`cachehitrate`)
-/// columns — the same switch --obs-deterministic / QADD_OBS_DETERMINISTIC
-/// flips — so the remaining bytes must be identical between serial and
-/// parallel sweeps.
+/// zeroes the wall-clock `seconds` column — the same switch
+/// --obs-deterministic / QADD_OBS_DETERMINISTIC flips — so the remaining
+/// bytes must be identical between serial and parallel sweeps.
 std::string deterministicCsv(const std::vector<eval::SimulationTrace>& traces) {
   obs::setDeterministic(true);
   std::ostringstream os;
   eval::writeCsv(os, traces);
+  obs::setDeterministic(false);
+  return os.str();
+}
+
+/// A trace's end-of-run counters as stats JSON, gc seconds zeroed.
+std::string deterministicStatsJson(const eval::SimulationTrace& trace) {
+  obs::setDeterministic(true);
+  std::ostringstream os;
+  eval::writeStatsJson(os, trace.finalStats);
   obs::setDeterministic(false);
   return os.str();
 }
@@ -368,9 +374,16 @@ TEST(RunSweep, TracesComeBackInSpecOrder) {
 
 TEST(RunSweep, ParallelMatchesSerialByteForByte) {
   const eval::SweepSpec sweep = groverSweep();
-  const eval::SweepResult serial = eval::runSweep(sweep, nullptr);
+  // The algebraic small-path tallies in finalStats are process-wide; restart
+  // them so both sweeps' reference runs count alike.
+  const auto runFresh = [&sweep](exec::ThreadPool* pool) {
+    alg::detail::smallPathStats().hits = 0;
+    alg::detail::smallPathStats().spills = 0;
+    return eval::runSweep(sweep, pool);
+  };
+  const eval::SweepResult serial = runFresh(nullptr);
   exec::ThreadPool pool(4);
-  const eval::SweepResult parallel = eval::runSweep(sweep, &pool);
+  const eval::SweepResult parallel = runFresh(&pool);
 
   EXPECT_EQ(serial.jobs, 1U);
   EXPECT_EQ(parallel.jobs, 4U);
@@ -381,6 +394,8 @@ TEST(RunSweep, ParallelMatchesSerialByteForByte) {
         << "final state of " << serial.traces[i].label;
     EXPECT_EQ(serial.traces[i].finalNodes, parallel.traces[i].finalNodes);
     EXPECT_EQ(serial.traces[i].collapsedToZero, parallel.traces[i].collapsedToZero);
+    EXPECT_EQ(deterministicStatsJson(serial.traces[i]), deterministicStatsJson(parallel.traces[i]))
+        << "counters of " << serial.traces[i].label;
   }
 }
 

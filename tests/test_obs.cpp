@@ -5,6 +5,8 @@
 /// tables to their counters, the bit-width histogram of the algebraic
 /// intern pool, and the Chrome-trace span tracer.
 #include "algorithms/common.hpp"
+#include "algorithms/grover.hpp"
+#include "algebraic/small_kernels.hpp"
 #include "core/algebraic_system.hpp"
 #include "core/numeric_system.hpp"
 #include "core/package.hpp"
@@ -483,7 +485,7 @@ TEST(TraceIntegration, GcEventsAreRecorded) {
   }
 }
 
-TEST(Emitters, StatsTableJsonAndCsv) {
+TEST(Emitters, StatsTableAndJson) {
   qc::Simulator<dd::NumericSystem> simulator(algos::ghz(4), tightConfig());
   simulator.run();
   const obs::PackageStats stats = simulator.package().stats();
@@ -505,12 +507,6 @@ TEST(Emitters, StatsTableJsonAndCsv) {
     braces += (c == '{') - (c == '}');
   }
   EXPECT_EQ(braces, 0);
-
-  std::ostringstream csv;
-  eval::writeStatsCsv(csv, stats);
-  EXPECT_NE(csv.str().find("counter,value"), std::string::npos);
-  EXPECT_NE(csv.str().find("cache.mv.hits,"), std::string::npos);
-  EXPECT_NE(csv.str().find("unique.vector.lookups,"), std::string::npos);
 }
 
 TEST(Emitters, TraceCsvHasTelemetryColumns) {
@@ -616,68 +612,118 @@ TEST(Timeline, DeterministicModeZeroesWallClockColumns) {
   ASSERT_TRUE(obs::deterministic());
   std::ostringstream csv;
   timeline.writeCsv(csv);
-  // Last two columns (seconds) and cachehitrate are zeroed; structural
+  // Only the last column (seconds) is zeroed; counters and structural
   // gauges survive.
   EXPECT_NE(csv.str().find("s,point"), std::string::npos);
   EXPECT_NE(csv.str().find(",7,"), std::string::npos);
-  EXPECT_EQ(csv.str().find("0.5"), std::string::npos);
+  EXPECT_NE(csv.str().find(",0.5,"), std::string::npos);
+  EXPECT_TRUE(csv.str().ends_with(",0\n")) << csv.str();
   std::ostringstream json;
   timeline.writeJson(json);
   EXPECT_NE(json.str().find("\"deterministic\":true"), std::string::npos);
-  EXPECT_NE(json.str().find("\"cacheHitRate\":0,"), std::string::npos);
-  EXPECT_NE(json.str().find("\"seconds\":0"), std::string::npos);
+  EXPECT_NE(json.str().find("\"cacheHitRate\":0.5,"), std::string::npos);
+  EXPECT_NE(json.str().find("\"seconds\":0}"), std::string::npos);
 }
 
-TEST(Emitters, DeterministicModeZeroesUniqueCollisions) {
+TEST(Emitters, DeterministicModeZeroesOnlyGcSeconds) {
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "built with QADD_OBS=0";
   }
-  // Collision counts depend on node addresses (the unique tables hash child
-  // pointers), so every emitter masks them in deterministic mode.
+  // Counters follow the circuit (nodes hash by insert serial), so the mode
+  // masks only wall-clock seconds; collision counts stay in every emitter.
   obs::PackageStats stats;
   stats.vUnique.collisions.inc(4242);
   stats.mUnique.collisions.inc(5353);
+  stats.gc.seconds = 0.625;
   obs::Timeline timeline;
   timeline.setEnabled(true);
   obs::Timeline::Sample sample;
   sample.uniqueCollisions = 4242;
-  timeline.record(std::move(sample));
+  timeline.record(std::move(sample)); // stamps its wall-clock seconds
 
   const auto emitAll = [&] {
     std::ostringstream table;
     eval::printStatsTable(table, stats);
     std::ostringstream json;
     eval::writeStatsJson(json, stats);
-    std::ostringstream csv;
-    eval::writeStatsCsv(csv, stats);
     std::ostringstream prometheus;
     obs::renderPrometheus(prometheus, stats);
     std::ostringstream timelineCsv;
     timeline.writeCsv(timelineCsv);
     std::ostringstream timelineJson;
     timeline.writeJson(timelineJson);
-    return std::array<std::string, 6>{table.str(),      json.str(),        csv.str(),
-                                      prometheus.str(), timelineCsv.str(), timelineJson.str()};
+    return std::array<std::string, 5>{table.str(), json.str(), prometheus.str(),
+                                      timelineCsv.str(), timelineJson.str()};
   };
-  for (const std::string& text : emitAll()) {
-    EXPECT_NE(text.find("4242"), std::string::npos) << "counts show outside the mode:\n" << text;
+  const auto plain = emitAll();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NE(plain[i].find("0.625"), std::string::npos) << "gc seconds outside the mode:\n"
+                                                         << plain[i];
   }
 
   const DeterministicGuard guard(true);
   const auto masked = emitAll();
-  for (const std::string& text : masked) {
-    EXPECT_EQ(text.find("4242"), std::string::npos) << text;
-    EXPECT_EQ(text.find("5353"), std::string::npos) << text;
+  for (std::size_t i = 0; i < masked.size(); ++i) {
+    EXPECT_EQ(masked[i].find("0.625"), std::string::npos) << masked[i];
+    EXPECT_NE(masked[i].find("4242"), std::string::npos) << masked[i];
+    if (i < 3) {
+      EXPECT_NE(masked[i].find("5353"), std::string::npos) << masked[i];
+    }
   }
-  EXPECT_NE(masked[0].find(" 0 collisions"), std::string::npos);
-  EXPECT_NE(masked[1].find("\"collisions\":0,"), std::string::npos);
-  EXPECT_NE(masked[2].find("unique.vector.collisions,0\n"), std::string::npos);
-  EXPECT_NE(masked[2].find("unique.matrix.collisions,0\n"), std::string::npos);
-  EXPECT_NE(masked[3].find("qadd_unique_collisions_total{table=\"vector\"} 0\n"),
+  EXPECT_NE(masked[0].find("4242 collisions"), std::string::npos);
+  EXPECT_NE(masked[0].find(" 0 s\n"), std::string::npos);
+  EXPECT_NE(masked[1].find("\"collisions\":4242,"), std::string::npos);
+  EXPECT_NE(masked[1].find("\"seconds\":0}"), std::string::npos);
+  EXPECT_NE(masked[2].find("qadd_unique_collisions_total{table=\"vector\"} 4242\n"),
             std::string::npos);
-  EXPECT_NE(masked[3].find("qadd_unique_collisions_total{table=\"matrix\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(masked[5].find("\"uniqueCollisions\":0,"), std::string::npos);
+  EXPECT_NE(masked[2].find("qadd_gc_seconds_total 0\n"), std::string::npos);
+  EXPECT_NE(masked[3].find(",4242,"), std::string::npos);
+  EXPECT_TRUE(masked[3].ends_with(",0\n")) << masked[3];
+  EXPECT_NE(masked[4].find("\"uniqueCollisions\":4242,"), std::string::npos);
+  EXPECT_NE(masked[4].find("\"seconds\":0}"), std::string::npos);
+}
+
+/// The stats JSON and Prometheus text of a Grover-7 run in a fresh package.
+/// The algebraic small-path tallies are process-wide, so they restart here.
+template <class System>
+std::array<std::string, 2> groverTelemetry(const typename System::Config& config) {
+  alg::detail::smallPathStats().hits = 0;
+  alg::detail::smallPathStats().spills = 0;
+  qc::Simulator<System> simulator(algos::grover({7, 0b1011001, 0}), config);
+  simulator.run();
+  const obs::PackageStats stats = simulator.package().stats();
+  std::ostringstream json;
+  eval::writeStatsJson(json, stats);
+  std::ostringstream prometheus;
+  obs::renderPrometheus(prometheus, stats);
+  return {json.str(), prometheus.str()};
+}
+
+TEST(Emitters, CountersDoNotDependOnHeapLayout) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "built with QADD_OBS=0";
+  }
+  // Nodes hash by insert serial, so every counter of a run follows the
+  // circuit: a second run lands on other addresses (a ballast package keeps
+  // a few thousand nodes alive in between) and must still print the same
+  // texts.  ε=0 keeps the operation caches lossy.
+  const DeterministicGuard guard(true); // gc seconds are wall clock
+  const dd::NumericSystem::Config exact{0.0, dd::NumericSystem::Normalization::LeftmostNonzero};
+  const auto numeric = groverTelemetry<dd::NumericSystem>(exact);
+  const auto algebraic = groverTelemetry<dd::AlgebraicSystem>({});
+
+  NumericPackage ballast(12, tightConfig());
+  std::array<bool, 12> bits{};
+  for (std::size_t index = 0; index < 4096; ++index) {
+    for (std::size_t q = 0; q < bits.size(); ++q) {
+      bits[q] = ((index >> q) & 1U) != 0;
+    }
+    (void)ballast.makeBasisState(bits);
+  }
+  ASSERT_GT(ballast.stats().liveNodes, 4000U);
+
+  EXPECT_EQ(groverTelemetry<dd::NumericSystem>(exact), numeric);
+  EXPECT_EQ(groverTelemetry<dd::AlgebraicSystem>({}), algebraic);
 }
 
 TEST(Timeline, CsvAndJsonAreWellFormed) {

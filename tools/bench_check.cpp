@@ -9,14 +9,13 @@
 /// booleans as 1/0, strings skipped).  Keys are classified by their last path
 /// segment:
 ///
-///   * hard keys — deterministic structural quantities (node counts, byte
-///     sizes, table fills, allocation rates, qubit/gate counts).  A relative
-///     delta beyond --tol (default 0.01) or a key missing from the fresh run
-///     FAILs the gate (exit 1).
-///   * soft keys — wall-clock and address-layout-sensitive quantities
-///     (seconds, speedups, MB/s, cache hits/misses/evictions, peak counts).
-///     Deltas beyond --time-tol (default 0.5) only WARN; machine noise must
-///     not gate CI.
+///   * hard keys — deterministic quantities (node counts, byte sizes, table
+///     fills, allocation rates, qubit/gate counts, cache and unique-table
+///     counters and hit rates).  A relative delta beyond --tol (default
+///     0.01) or a key missing from the fresh run FAILs the gate (exit 1).
+///   * soft keys — wall-clock quantities (seconds, speedups, MB/s, peak
+///     counts).  Deltas beyond --time-tol (default 0.5) only WARN; machine
+///     noise must not gate CI.
 ///
 /// Exit codes: 0 pass (warnings allowed), 1 regression, 2 usage, 3 bad file.
 #include <cctype>
@@ -228,6 +227,11 @@ bool isHardKey(const std::string& path) {
       "baselineAllocsPerOp",               "spillAllocsPerOp",
       "nodesWritten",    "nodesRead",      "weightsWritten",
       "weightsRead",     "snapshotsSaved", "snapshotsLoaded",
+      // Cache and unique-table counters: nodes hash by insert serial, so
+      // these follow the workload, not the heap layout.
+      "hits",            "misses",         "evictions",
+      "lookups",         "collisions",     "hitRate",
+      "cacheHitRate",
       // serve_load structural gates (BENCH_serve.json).
       "clients",         "perClient",      "completed",
       "errors",          "droppedConnections",
