@@ -89,6 +89,58 @@ void BM_BigIntGcd(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntGcd)->Arg(2)->Arg(8)->Arg(24);
 
+/// Random Z[omega] value whose four coefficients have `bits`-bit magnitudes
+/// and random signs.
+ZOmega randomWideRing(std::mt19937_64& rng, int bits) {
+  const auto coefficient = [&] {
+    BigInt value = randomBigInt(rng, (bits + 63) / 64);
+    value = value.shiftRight(value.bitLength() > static_cast<std::size_t>(bits)
+                                 ? value.bitLength() - static_cast<std::size_t>(bits)
+                                 : 0);
+    return rng() % 2 == 0 ? value : -value;
+  };
+  return {coefficient(), coefficient(), coefficient(), coefficient()};
+}
+
+/// Odd `bits`-bit factor.
+BigInt randomOddFactor(std::mt19937_64& rng, int bits) {
+  const BigInt value = randomWideRing(rng, bits).a().abs();
+  return value.isOdd() ? value : value + BigInt{1};
+}
+
+/// Z[omega] product at GSE coefficient widths (150-700 bits): every
+/// coefficient spills to the multi-limb path.
+void BM_ZOmegaMulWide(benchmark::State& state) {
+  std::mt19937_64 rng(13);
+  const int bits = static_cast<int>(state.range(0));
+  const ZOmega x = randomWideRing(rng, bits);
+  const ZOmega y = randomWideRing(rng, bits);
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x * y);
+  }
+}
+BENCHMARK(BM_ZOmegaMulWide)->Arg(150)->Arg(400)->Arg(700);
+
+/// Q[omega] product plus canonicalization at GSE widths, with odd
+/// denominators and a common content the product must cancel: x = r*n1 /
+/// (p*q), y = p*n2 / (r*s), so the product divides out p*r.
+void BM_QOmegaMulCanonWide(benchmark::State& state) {
+  std::mt19937_64 rng(17);
+  const int bits = static_cast<int>(state.range(0));
+  const BigInt p = randomOddFactor(rng, bits / 4);
+  const BigInt q = randomOddFactor(rng, bits / 4);
+  const BigInt r = randomOddFactor(rng, bits / 4);
+  const BigInt s = randomOddFactor(rng, bits / 4);
+  const QOmega x{randomWideRing(rng, bits - bits / 4).scaled(r), 3, p * q};
+  const QOmega y{randomWideRing(rng, bits - bits / 4).scaled(p), -1, r * s};
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x * y);
+  }
+}
+BENCHMARK(BM_QOmegaMulCanonWide)->Arg(150)->Arg(400)->Arg(700);
+
 void BM_BigIntToString(benchmark::State& state) {
   std::mt19937_64 rng(11);
   const BigInt a = randomBigInt(rng, static_cast<int>(state.range(0)));

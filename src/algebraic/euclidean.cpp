@@ -113,7 +113,7 @@ NormPairKey normPairKey(const ZOmega& z) {
 /// sqrt2 is a unit of D[omega]).
 ZOmega stripSqrt2(ZOmega z) {
   while (!z.isZero() && z.divisibleBySqrt2()) {
-    z = z.divideBySqrt2();
+    z = std::move(z).divideBySqrt2();
   }
   return z;
 }

@@ -118,24 +118,26 @@ void QOmega::canonicalize() {
   }
   // (a) denominator: positive sign, powers of two folded into k (2 = sqrt2^2).
   if (den_.isNegative()) {
-    den_ = -den_;
-    num_ = -num_;
+    den_.negate();
+    num_.negate();
   }
   if (den_.isEven()) {
     const std::size_t twos = den_.countTrailingZeroBits();
-    den_ = den_.shiftRight(twos);
+    den_ >>= twos;
     k_ += static_cast<long>(2 * twos);
   }
   // (b) smallest denominator exponent (Algorithm 1 of the paper): divide the
   // numerator by sqrt(2) while the parity criterion allows it.
   while (num_.divisibleBySqrt2()) {
-    num_ = num_.divideBySqrt2();
+    num_ = std::move(num_).divideBySqrt2();
     --k_;
   }
   // (c) cancel the odd content shared between numerator and denominator.
   // (Dividing by an odd integer preserves coefficient parities, so the
   // exponent stays minimal.)  Fold from den_: every partial gcd is bounded
   // by den_'s size, and most calls reach 1 after the first coefficient.
+  // g divides den_ and every coefficient, and it is odd because den_ is, so
+  // the divisions are exact.
   if (!den_.isOne()) {
     BigInt g = den_;
     for (const BigInt* coefficient : {&num_.a(), &num_.b(), &num_.c(), &num_.d()}) {
@@ -145,8 +147,8 @@ void QOmega::canonicalize() {
       }
     }
     if (!g.isOne()) {
-      num_ = ZOmega{num_.a() / g, num_.b() / g, num_.c() / g, num_.d() / g};
-      den_ /= g;
+      num_.divExact(g);
+      den_.divExact(g);
     }
   }
 }
@@ -167,20 +169,29 @@ QOmega& QOmega::operator+=(const QOmega& rhs) {
     return *this = rhs;
   }
   // Bring both operands to the common denominator sqrt(2)^kc * lcm(e1, e2).
+  // e1 and e2 are odd, so g = gcd(e1, e2) divides each exactly.
   const long kc = std::max(k_, rhs.k_);
-  ZOmega n1 = num_;
   for (long i = k_; i < kc; ++i) {
-    n1 = n1.timesSqrt2();
-  }
-  ZOmega n2 = rhs.num_;
-  for (long i = rhs.k_; i < kc; ++i) {
-    n2 = n2.timesSqrt2();
+    num_ = std::move(num_).timesSqrt2();
   }
   const BigInt g = BigInt::gcd(den_, rhs.den_);
-  const BigInt m1 = rhs.den_ / g; // multiply our numerator by this
-  const BigInt m2 = den_ / g;
-  num_ = n1.scaled(m1) + n2.scaled(m2);
-  den_ *= m1;
+  BigInt m1 = rhs.den_; // multiply our numerator by this
+  m1.divExact(g);
+  BigInt m2 = den_;
+  m2.divExact(g);
+  if (!m1.isOne()) {
+    num_ = num_.scaled(m1);
+    den_ *= m1;
+  }
+  if (rhs.k_ == kc && m2.isOne()) {
+    num_ += rhs.num_;
+  } else {
+    ZOmega n2 = rhs.num_.scaled(m2);
+    for (long i = rhs.k_; i < kc; ++i) {
+      n2 = std::move(n2).timesSqrt2();
+    }
+    num_ += n2;
+  }
   k_ = kc;
   canonicalize();
   return *this;
@@ -188,15 +199,11 @@ QOmega& QOmega::operator+=(const QOmega& rhs) {
 
 QOmega& QOmega::operator-=(const QOmega& rhs) { return *this += -rhs; }
 
-QOmega& QOmega::operator*=(const QOmega& rhs) {
-  if (isZero() || rhs.isZero()) {
-    return *this = QOmega{};
+QOmega operator*(const QOmega& lhs, const QOmega& rhs) {
+  if (lhs.isZero() || rhs.isZero()) {
+    return {};
   }
-  num_ *= rhs.num_;
-  k_ += rhs.k_;
-  den_ *= rhs.den_;
-  canonicalize();
-  return *this;
+  return {lhs.num_ * rhs.num_, lhs.k_ + rhs.k_, lhs.den_ * rhs.den_};
 }
 
 QOmega QOmega::inverse() const {
@@ -209,7 +216,8 @@ QOmega QOmega::inverse() const {
   BigInt v;
   num_.norm(u, v);
   const ZOmega uMinusVSqrt2{v, BigInt{0}, -v, u};
-  BigInt bigDen = u * u - (v * v).shiftLeft(1);
+  BigInt bigDen;
+  bigDen.addMul(u, u).subMul(v, v).subMul(v, v);
   assert(!bigDen.isZero());
   ZOmega numerator = num_.conj() * uMinusVSqrt2;
   numerator = numerator.scaled(den_);

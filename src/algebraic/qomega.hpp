@@ -83,14 +83,27 @@ public:
   [[nodiscard]] QOmega operator-() const;
   QOmega& operator+=(const QOmega& rhs);
   QOmega& operator-=(const QOmega& rhs);
-  QOmega& operator*=(const QOmega& rhs);
+  QOmega& operator*=(const QOmega& rhs) {
+    *this = *this * rhs;
+    return *this;
+  }
   /// Exact division. \throws std::domain_error when rhs is zero.
   QOmega& operator/=(const QOmega& rhs);
 
-  friend QOmega operator+(QOmega lhs, const QOmega& rhs) { return lhs += rhs; }
-  friend QOmega operator-(QOmega lhs, const QOmega& rhs) { return lhs -= rhs; }
-  friend QOmega operator*(QOmega lhs, const QOmega& rhs) { return lhs *= rhs; }
-  friend QOmega operator/(QOmega lhs, const QOmega& rhs) { return lhs /= rhs; }
+  friend QOmega operator+(QOmega lhs, const QOmega& rhs) {
+    lhs += rhs;
+    return lhs;
+  }
+  friend QOmega operator-(QOmega lhs, const QOmega& rhs) {
+    lhs -= rhs;
+    return lhs;
+  }
+  /// The canonical product, built from the operands without copying either.
+  friend QOmega operator*(const QOmega& lhs, const QOmega& rhs);
+  friend QOmega operator/(QOmega lhs, const QOmega& rhs) {
+    lhs /= rhs;
+    return lhs;
+  }
 
   /// Multiplicative inverse via the squared-norm construction of Section IV-B:
   /// 1/z = conj(z) / N(z) with 1/N(z) = (u - v sqrt2)/(u^2 - 2 v^2).

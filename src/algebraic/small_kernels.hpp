@@ -17,27 +17,24 @@
 
 #include "bigint/bigint.hpp"
 
-#include <atomic>
 #include <cstdint>
 
 namespace qadd::alg::detail {
 
-/// Process-wide tally of fast-path engagements, surfaced through
-/// obs::WeightTableStats as `alg.smallPathHit` / `alg.smallPathSpill`.
-/// `hits` counts ring operations served entirely by a word kernel; `spills`
-/// counts operations that probed the fast path but fell back to BigInt
-/// because a coefficient exceeded the kernel's bit bound.  The counters are
-/// atomic because the tally is shared by every DD package in the process and
-/// the parallel ε-sweep executor (qadd::exec) runs packages on concurrent
-/// workers; on x86 the increment is the same `lock xadd` either way, and the
-/// algebraic reference of a sweep runs serially, so contention is nil.
+/// This thread's running tally of fast-path engagements.  `hits` counts ring
+/// operations served entirely by a word kernel; `spills` counts operations
+/// that probed the fast path but fell back to BigInt because a coefficient
+/// exceeded the kernel's bit bound.  The counters are plain thread-locals, so
+/// counting costs an ordinary increment.  dd::AlgebraicSystem adds the delta
+/// over each of its own weight operations to the package's counts, which
+/// obs::WeightTableStats reports as `alg.smallPathHit` / `alg.smallPathSpill`.
 struct SmallPathStats {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> spills{0};
+  std::uint64_t hits = 0;
+  std::uint64_t spills = 0;
 };
 
 [[nodiscard]] inline SmallPathStats& smallPathStats() noexcept {
-  static SmallPathStats stats;
+  thread_local SmallPathStats stats;
   return stats;
 }
 

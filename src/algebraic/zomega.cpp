@@ -6,6 +6,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace qadd::alg {
 
@@ -73,48 +74,61 @@ ZOmega& ZOmega::operator-=(const ZOmega& rhs) {
   return *this;
 }
 
-ZOmega& ZOmega::operator*=(const ZOmega& rhs) {
+ZOmega operator*(const ZOmega& lhs, const ZOmega& rhs) {
   if (qadd::detail::smallFastPathsEnabled()) {
     SmallZ x;
     SmallZ y;
-    if (detail::load(*this, x, kMulBits) && detail::load(rhs, y, kMulBits)) {
+    if (detail::load(lhs, x, kMulBits) && detail::load(rhs, y, kMulBits)) {
       // Four products of < 2^62 magnitudes sum to < 2^126: no int128 overflow.
       ++detail::smallPathStats().hits;
       const I128 a = I128{x.a} * y.d + I128{x.b} * y.c + I128{x.c} * y.b + I128{x.d} * y.a;
       const I128 b = I128{x.b} * y.d + I128{x.c} * y.c + I128{x.d} * y.b - I128{x.a} * y.a;
       const I128 c = I128{x.c} * y.d + I128{x.d} * y.c - I128{x.a} * y.b - I128{x.b} * y.a;
       const I128 d = I128{x.d} * y.d - I128{x.a} * y.c - I128{x.b} * y.b - I128{x.c} * y.a;
-      a_ = BigInt::fromInt128(a);
-      b_ = BigInt::fromInt128(b);
-      c_ = BigInt::fromInt128(c);
-      d_ = BigInt::fromInt128(d);
-      return *this;
+      return {BigInt::fromInt128(a), BigInt::fromInt128(b), BigInt::fromInt128(c),
+              BigInt::fromInt128(d)};
     }
     ++detail::smallPathStats().spills;
   }
   // Expand on the basis {w^3, w^2, w, 1} using w^4 = -1:
   //   w^3*w^3 = -w^2, w^3*w^2 = -w, w^3*w = -1, w^2*w^2 = -1, w^2*w = w^3.
-  const BigInt& a1 = a_;
-  const BigInt& b1 = b_;
-  const BigInt& c1 = c_;
-  const BigInt& d1 = d_;
+  const BigInt& a1 = lhs.a_;
+  const BigInt& b1 = lhs.b_;
+  const BigInt& c1 = lhs.c_;
+  const BigInt& d1 = lhs.d_;
   const BigInt& a2 = rhs.a_;
   const BigInt& b2 = rhs.b_;
   const BigInt& c2 = rhs.c_;
   const BigInt& d2 = rhs.d_;
-  BigInt a = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2;
-  BigInt b = b1 * d2 + c1 * c2 + d1 * b2 - a1 * a2;
-  BigInt c = c1 * d2 + d1 * c2 - a1 * b2 - b1 * a2;
-  BigInt d = d1 * d2 - a1 * c2 - b1 * b2 - c1 * a2;
-  a_ = std::move(a);
-  b_ = std::move(b);
-  c_ = std::move(c);
-  d_ = std::move(d);
-  return *this;
+  ZOmega product;
+  product.a_.addMul(a1, d2).addMul(b1, c2).addMul(c1, b2).addMul(d1, a2);
+  product.b_.addMul(b1, d2).addMul(c1, c2).addMul(d1, b2).subMul(a1, a2);
+  product.c_.addMul(c1, d2).addMul(d1, c2).subMul(a1, b2).subMul(b1, a2);
+  product.d_.addMul(d1, d2).subMul(a1, c2).subMul(b1, b2).subMul(c1, a2);
+  return product;
 }
 
 ZOmega ZOmega::scaled(const BigInt& factor) const {
-  return {a_ * factor, b_ * factor, c_ * factor, d_ * factor};
+  ZOmega result;
+  result.a_.addMul(a_, factor);
+  result.b_.addMul(b_, factor);
+  result.c_.addMul(c_, factor);
+  result.d_.addMul(d_, factor);
+  return result;
+}
+
+void ZOmega::divExact(const BigInt& divisor) {
+  a_.divExact(divisor);
+  b_.divExact(divisor);
+  c_.divExact(divisor);
+  d_.divExact(divisor);
+}
+
+void ZOmega::negate() noexcept {
+  a_.negate();
+  b_.negate();
+  c_.negate();
+  d_.negate();
 }
 
 ZOmega ZOmega::conj() const { return {-c_, -b_, -a_, d_}; }
@@ -126,26 +140,46 @@ ZOmega ZOmega::timesOmega() const {
   return {b_, c_, d_, -a_};
 }
 
-ZOmega ZOmega::timesSqrt2() const {
+ZOmega ZOmega::timesSqrt2() && {
   // (w - w^3)*(a w^3 + b w^2 + c w + d)
   //   = (b-d) w^3 + (c+a) w^2 + (b+d) w + (c-a).
-  return {b_ - d_, c_ + a_, b_ + d_, c_ - a_};
+  // In place: (b, d) -> (b-d, b+d) and (c, a) -> (c+a, c-a), then rotate.
+  BigInt t = b_;
+  b_ -= d_;
+  d_ += t;
+  t = c_;
+  c_ += a_;
+  a_.negate();
+  a_ += t;
+  std::swap(a_, b_); // (b-d, c-a, c+a, b+d)
+  std::swap(b_, c_); // (b-d, c+a, c-a, b+d)
+  std::swap(c_, d_); // (b-d, c+a, b+d, c-a)
+  return std::move(*this);
 }
 
 bool ZOmega::divisibleBySqrt2() const noexcept {
   return (a_.isOdd() == c_.isOdd()) && (b_.isOdd() == d_.isOdd());
 }
 
-ZOmega ZOmega::divideBySqrt2() const {
+ZOmega ZOmega::divideBySqrt2() && {
   assert(divisibleBySqrt2());
-  // Inverse of timesSqrt2: solve (b'-d', c'+a', b'+d', c'-a') = (a, b, c, d).
-  BigInt a = (b_ - d_).shiftRight(1);
-  BigInt b = (a_ + c_).shiftRight(1);
-  BigInt c = (b_ + d_).shiftRight(1);
-  BigInt d = (c_ - a_).shiftRight(1);
-  // shiftRight truncates magnitudes toward zero, which matches exact halving
-  // because the preconditions guarantee the sums/differences are even.
-  return {std::move(a), std::move(b), std::move(c), std::move(d)};
+  // Inverse of timesSqrt2: solve (b'-d', c'+a', b'+d', c'-a') = (a, b, c, d),
+  // i.e. (a', b', c', d') = ((b-d)/2, (a+c)/2, (b+d)/2, (c-a)/2).
+  BigInt t = b_;
+  b_ -= d_;
+  d_ += t;
+  t = a_;
+  a_ += c_;
+  c_ -= t;
+  std::swap(a_, b_); // (b-d, a+c, c-a, b+d)
+  std::swap(c_, d_); // (b-d, a+c, b+d, c-a)
+  // The parity preconditions make every sum and difference even, so the
+  // halvings (magnitude shifts) are exact.
+  a_ >>= 1;
+  b_ >>= 1;
+  c_ >>= 1;
+  d_ >>= 1;
+  return std::move(*this);
 }
 
 void ZOmega::norm(BigInt& u, BigInt& v) const {
@@ -162,8 +196,10 @@ void ZOmega::norm(BigInt& u, BigInt& v) const {
     ++detail::smallPathStats().spills;
   }
   // N(z) = z*conj(z) = (a^2+b^2+c^2+d^2) + (ab + bc + cd - da) * sqrt(2).
-  u = a_ * a_ + b_ * b_ + c_ * c_ + d_ * d_;
-  v = a_ * b_ + b_ * c_ + c_ * d_ - d_ * a_;
+  u = BigInt{};
+  u.addMul(a_, a_).addMul(b_, b_).addMul(c_, c_).addMul(d_, d_);
+  v = BigInt{};
+  v.addMul(a_, b_).addMul(b_, c_).addMul(c_, d_).subMul(d_, a_);
 }
 
 BigInt ZOmega::euclideanValue() const {

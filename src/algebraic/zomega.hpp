@@ -66,16 +66,32 @@ public:
   // -- ring arithmetic ----------------------------------------------------------
 
   [[nodiscard]] ZOmega operator-() const;
+  /// Flip every coefficient's sign in place.
+  void negate() noexcept;
   ZOmega& operator+=(const ZOmega& rhs);
   ZOmega& operator-=(const ZOmega& rhs);
-  ZOmega& operator*=(const ZOmega& rhs);
+  ZOmega& operator*=(const ZOmega& rhs) {
+    *this = *this * rhs;
+    return *this;
+  }
 
-  friend ZOmega operator+(ZOmega lhs, const ZOmega& rhs) { return lhs += rhs; }
-  friend ZOmega operator-(ZOmega lhs, const ZOmega& rhs) { return lhs -= rhs; }
-  friend ZOmega operator*(ZOmega lhs, const ZOmega& rhs) { return lhs *= rhs; }
+  friend ZOmega operator+(ZOmega lhs, const ZOmega& rhs) {
+    lhs += rhs;
+    return lhs;
+  }
+  friend ZOmega operator-(ZOmega lhs, const ZOmega& rhs) {
+    lhs -= rhs;
+    return lhs;
+  }
+  /// The product, each coefficient built in one accumulator.
+  friend ZOmega operator*(const ZOmega& lhs, const ZOmega& rhs);
 
   /// Multiply by a rational integer.
   [[nodiscard]] ZOmega scaled(const BigInt& factor) const;
+
+  /// Divide every coefficient by an odd integer that divides them all (see
+  /// BigInt::divExact).
+  void divExact(const BigInt& divisor);
 
   /// Complex conjugate: (a,b,c,d) -> (-c,-b,-a,d).
   [[nodiscard]] ZOmega conj() const;
@@ -87,16 +103,20 @@ public:
   /// Multiply by omega (a cyclic coefficient rotation with one sign flip).
   [[nodiscard]] ZOmega timesOmega() const;
 
-  /// Multiply by sqrt(2) = omega - omega^3.
-  [[nodiscard]] ZOmega timesSqrt2() const;
+  /// Multiply by sqrt(2) = omega - omega^3.  The rvalue form reuses the
+  /// coefficients' storage: `z = std::move(z).timesSqrt2()`.
+  [[nodiscard]] ZOmega timesSqrt2() const& { return ZOmega{*this}.timesSqrt2(); }
+  [[nodiscard]] ZOmega timesSqrt2() &&;
 
   /// True iff the value is divisible by sqrt(2) in Z[omega]; this is exactly
   /// the paper's minimality criterion from Algorithm 1:
   /// a == c (mod 2) and b == d (mod 2).
   [[nodiscard]] bool divisibleBySqrt2() const noexcept;
 
-  /// Exact division by sqrt(2). \pre divisibleBySqrt2()
-  [[nodiscard]] ZOmega divideBySqrt2() const;
+  /// Exact division by sqrt(2); the rvalue form works in place like
+  /// timesSqrt2's. \pre divisibleBySqrt2()
+  [[nodiscard]] ZOmega divideBySqrt2() const& { return ZOmega{*this}.divideBySqrt2(); }
+  [[nodiscard]] ZOmega divideBySqrt2() &&;
 
   /// Squared complex norm N(z) = z * conj(z) = u + v*sqrt(2), u,v in Z.
   void norm(BigInt& u, BigInt& v) const;

@@ -36,6 +36,157 @@ int trailingZeros(std::uint32_t x) noexcept {
 /// differential-testing toggle.
 bool fastPath() noexcept { return detail::smallFastPathsEnabled(); }
 
+using Limbs = detail::LimbVec;
+
+/// Per-thread working buffers of the multi-limb algorithms: Algorithm D's
+/// normalized operands (u, v), Lehmer's cofactor outputs (x, y) and the
+/// product of a multiply.  They only grow, so in steady state these
+/// temporaries allocate nothing.
+struct Scratch {
+  Limbs u;
+  Limbs v;
+  Limbs x;
+  Limbs y;
+  Limbs product;
+};
+
+Scratch& scratch() {
+  thread_local Scratch buffers;
+  return buffers;
+}
+
+void trimLimbs(Limbs& limbs) noexcept {
+  while (!limbs.empty() && limbs.back() == 0) {
+    limbs.pop_back();
+  }
+}
+
+void assignU64(Limbs& out, std::uint64_t value) {
+  out.clear();
+  if (value != 0) {
+    out.push_back(static_cast<std::uint32_t>(value));
+    if ((value >> 32) != 0) {
+      out.push_back(static_cast<std::uint32_t>(value >> 32));
+    }
+  }
+}
+
+/// out = src << shift (shift < 32), with `extra` more zero limbs on top.
+void shiftedCopy(const Limbs& src, unsigned shift, std::size_t extra, Limbs& out) {
+  out.assign(src.size() + extra, 0);
+  if (shift == 0) {
+    std::copy(src.begin(), src.end(), out.begin());
+    return;
+  }
+  std::uint32_t below = 0;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    out[i] = (src[i] << shift) | below;
+    below = src[i] >> (32 - shift);
+  }
+  if (extra != 0) {
+    out[src.size()] = below;
+  }
+}
+
+/// out = src[0..n) >> shift (shift < 32), trimmed.
+void shiftedDownCopy(const std::uint32_t* src, std::size_t n, unsigned shift, Limbs& out) {
+  out.assign(src, src + n);
+  if (shift != 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = (out[i] >> shift) | (i + 1 < n ? out[i + 1] << (32 - shift) : 0);
+    }
+  }
+  trimLimbs(out);
+}
+
+/// Knuth's Algorithm D on normalized operands: u has m+n+1 limbs and v has
+/// n >= 2 limbs with the top bit set.  Leaves the normalized remainder in
+/// u[0..n) and writes the m+1 quotient limbs to `quotient` unless it is null.
+void knuthDivide(std::uint32_t* u, std::size_t m, const std::uint32_t* v, std::size_t n,
+                 std::uint32_t* quotient) {
+  using DoubleLimb = std::uint64_t;
+  const DoubleLimb base = static_cast<DoubleLimb>(1) << 32;
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // Estimate q_hat = (u[j+n]*base + u[j+n-1]) / v[n-1], then refine it with
+    // the second divisor limb so it is at most one too large.
+    const DoubleLimb numerator = (static_cast<DoubleLimb>(u[j + n]) << 32) | u[j + n - 1];
+    DoubleLimb qHat;
+    DoubleLimb rHat;
+    if (u[j + n] == v[n - 1]) {
+      qHat = base - 1;
+      rHat = static_cast<DoubleLimb>(u[j + n - 1]) + v[n - 1];
+    } else {
+      qHat = numerator / v[n - 1];
+      rHat = numerator % v[n - 1];
+    }
+    while (rHat < base &&
+           static_cast<unsigned __int128>(qHat) * v[n - 2] >
+               ((static_cast<unsigned __int128>(rHat) << 32) | u[j + n - 2])) {
+      --qHat;
+      rHat += v[n - 1];
+    }
+    // Multiply-and-subtract: u[j..j+n] -= qHat * v.
+    std::int64_t borrow = 0;
+    DoubleLimb carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const DoubleLimb product = qHat * v[i] + carry;
+      carry = product >> 32;
+      std::int64_t diff = static_cast<std::int64_t>(u[j + i]) -
+                          static_cast<std::int64_t>(product & 0xffffffffU) - borrow;
+      if (diff < 0) {
+        diff += static_cast<std::int64_t>(base);
+        borrow = 1;
+      } else {
+        borrow = 0;
+      }
+      u[j + i] = static_cast<std::uint32_t>(diff);
+    }
+    std::int64_t topDiff = static_cast<std::int64_t>(u[j + n]) -
+                           static_cast<std::int64_t>(carry) - borrow;
+    if (topDiff < 0) {
+      // q_hat was one too large: add back.
+      topDiff += static_cast<std::int64_t>(base);
+      --qHat;
+      DoubleLimb addCarry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const DoubleLimb sum = static_cast<DoubleLimb>(u[j + i]) + v[i] + addCarry;
+        u[j + i] = static_cast<std::uint32_t>(sum & 0xffffffffU);
+        addCarry = sum >> 32;
+      }
+      topDiff += static_cast<std::int64_t>(addCarry);
+      topDiff &= static_cast<std::int64_t>(base) - 1;
+    }
+    u[j + n] = static_cast<std::uint32_t>(topDiff);
+    if (quotient != nullptr) {
+      quotient[j] = static_cast<std::uint32_t>(qHat);
+    }
+  }
+}
+
+/// |a| mod m in one pass from the top limb. \pre m != 0
+std::uint64_t modU64(const Limbs& a, std::uint64_t m) noexcept {
+  if ((m >> 32) == 0) {
+    std::uint64_t rem = 0;
+    for (std::size_t i = a.size(); i-- > 0;) {
+      rem = ((rem << 32) | a[i]) % m;
+    }
+    return rem;
+  }
+  unsigned __int128 rem = 0;
+  for (std::size_t i = a.size(); i-- > 0;) {
+    rem = ((rem << 32) | a[i]) % m;
+  }
+  return static_cast<std::uint64_t>(rem);
+}
+
+std::uint64_t euclidU64(std::uint64_t x, std::uint64_t y) noexcept {
+  while (y != 0) {
+    x %= y;
+    std::swap(x, y);
+  }
+  return x;
+}
+
 } // namespace
 
 std::uint64_t BigInt::magU64() const noexcept {
@@ -52,6 +203,7 @@ std::uint64_t BigInt::magU64() const noexcept {
 
 void BigInt::setMagU64(std::uint64_t magnitude, bool negative) {
   limbs_.clear();
+  limbs_.inlineIfSmall();
   if (magnitude != 0) {
     limbs_.push_back(static_cast<Limb>(magnitude & 0xffffffffU));
     if ((magnitude >> 32) != 0) {
@@ -303,16 +455,18 @@ void BigInt::trim() noexcept {
   while (!limbs_.empty() && limbs_.back() == 0) {
     limbs_.pop_back();
   }
+  limbs_.inlineIfSmall();
   if (limbs_.empty()) {
     negative_ = false;
   }
 }
 
-int BigInt::compareMagnitude(const LimbVec& a, const LimbVec& b) noexcept {
-  if (a.size() != b.size()) {
-    return a.size() < b.size() ? -1 : 1;
+int BigInt::compareMagnitude(const Limb* a, std::size_t an, const Limb* b,
+                             std::size_t bn) noexcept {
+  if (an != bn) {
+    return an < bn ? -1 : 1;
   }
-  for (std::size_t i = a.size(); i-- > 0;) {
+  for (std::size_t i = an; i-- > 0;) {
     if (a[i] != b[i]) {
       return a[i] < b[i] ? -1 : 1;
     }
@@ -320,55 +474,72 @@ int BigInt::compareMagnitude(const LimbVec& a, const LimbVec& b) noexcept {
   return 0;
 }
 
-BigInt::LimbVec BigInt::addMagnitude(const LimbVec& a, const LimbVec& b) {
-  const auto& longer = a.size() >= b.size() ? a : b;
-  const auto& shorter = a.size() >= b.size() ? b : a;
-  LimbVec result;
-  result.reserve(longer.size() + 1);
-  DoubleLimb carry = 0;
-  for (std::size_t i = 0; i < longer.size(); ++i) {
-    DoubleLimb sum = carry + longer[i];
-    if (i < shorter.size()) {
-      sum += shorter[i];
+void BigInt::addInto(LimbVec& acc, const Limb* p, std::size_t n) {
+  if (acc.size() < n) {
+    if (n > LimbVec::kInlineLimbs) {
+      acc.reserve(n + 1); // room for the carry-out
     }
-    result.push_back(static_cast<Limb>(sum & 0xffffffffU));
+    acc.resize(n);
+  }
+  Limb* out = acc.data();
+  DoubleLimb carry = 0;
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const DoubleLimb sum = static_cast<DoubleLimb>(out[i]) + p[i] + carry;
+    out[i] = static_cast<Limb>(sum);
+    carry = sum >> 32;
+  }
+  for (; carry != 0 && i < acc.size(); ++i) {
+    const DoubleLimb sum = static_cast<DoubleLimb>(out[i]) + carry;
+    out[i] = static_cast<Limb>(sum);
     carry = sum >> 32;
   }
   if (carry != 0) {
-    result.push_back(static_cast<Limb>(carry));
+    acc.push_back(static_cast<Limb>(carry));
   }
-  return result;
 }
 
-BigInt::LimbVec BigInt::subMagnitude(const LimbVec& a, const LimbVec& b) {
-  assert(compareMagnitude(a, b) >= 0);
-  LimbVec result;
-  result.reserve(a.size());
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a[i]) - borrow;
-    if (i < b.size()) {
-      diff -= b[i];
-    }
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(1) << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    result.push_back(static_cast<Limb>(diff));
+void BigInt::subInto(LimbVec& acc, const Limb* p, std::size_t n) {
+  assert(compareMagnitude(acc.data(), acc.size(), p, n) >= 0);
+  Limb* out = acc.data();
+  // A negative 64-bit difference wraps with bit 32 set: that bit is the borrow.
+  DoubleLimb borrow = 0;
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const DoubleLimb diff = static_cast<DoubleLimb>(out[i]) - p[i] - borrow;
+    out[i] = static_cast<Limb>(diff);
+    borrow = (diff >> 32) & 1U;
   }
-  while (!result.empty() && result.back() == 0) {
-    result.pop_back();
+  for (; borrow != 0; ++i) { // |acc| >= |p| stops the ripple inside acc
+    const DoubleLimb diff = static_cast<DoubleLimb>(out[i]) - borrow;
+    out[i] = static_cast<Limb>(diff);
+    borrow = (diff >> 32) & 1U;
   }
-  return result;
+  trimLimbs(acc);
 }
 
-BigInt::LimbVec BigInt::mulSchoolbook(const LimbVec& a, const LimbVec& b) {
+void BigInt::subFrom(LimbVec& acc, const Limb* p, std::size_t n) {
+  assert(compareMagnitude(p, n, acc.data(), acc.size()) >= 0);
+  acc.resize(n);
+  Limb* out = acc.data();
+  DoubleLimb borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DoubleLimb diff = static_cast<DoubleLimb>(p[i]) - out[i] - borrow;
+    out[i] = static_cast<Limb>(diff);
+    borrow = (diff >> 32) & 1U;
+  }
+  assert(borrow == 0);
+  trimLimbs(acc);
+}
+
+void BigInt::mulSchoolbook(const LimbVec& a, const LimbVec& b, LimbVec& out) {
+  assert(&out != &a && &out != &b);
   if (a.empty() || b.empty()) {
-    return {};
+    out.clear();
+    return;
   }
-  LimbVec result(a.size() + b.size(), 0);
+  out.assign(a.size() + b.size(), 0);
+  Limb* result = out.data();
   for (std::size_t i = 0; i < a.size(); ++i) {
     DoubleLimb carry = 0;
     const DoubleLimb ai = a[i];
@@ -379,15 +550,13 @@ BigInt::LimbVec BigInt::mulSchoolbook(const LimbVec& a, const LimbVec& b) {
     }
     result[i + b.size()] = static_cast<Limb>(carry);
   }
-  while (!result.empty() && result.back() == 0) {
-    result.pop_back();
-  }
-  return result;
+  trimLimbs(out);
 }
 
-BigInt::LimbVec BigInt::mulMagnitude(const LimbVec& a, const LimbVec& b) {
+void BigInt::mulMagnitude(const LimbVec& a, const LimbVec& b, LimbVec& out) {
   if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
-    return mulSchoolbook(a, b);
+    mulSchoolbook(a, b, out);
+    return;
   }
   // Karatsuba: split at half of the longer operand.
   const std::size_t half = std::max(a.size(), b.size()) / 2;
@@ -395,44 +564,60 @@ BigInt::LimbVec BigInt::mulMagnitude(const LimbVec& a, const LimbVec& b) {
     const std::size_t cut = std::min(half, v.size());
     LimbVec low(v.data(), v.data() + cut);
     LimbVec high(v.data() + cut, v.data() + v.size());
-    while (!low.empty() && low.back() == 0) {
-      low.pop_back();
-    }
+    trimLimbs(low);
     return std::pair{std::move(low), std::move(high)};
   };
   auto [a0, a1] = split(a);
   auto [b0, b1] = split(b);
-  const auto z0 = mulMagnitude(a0, b0);
-  const auto z2 = mulMagnitude(a1, b1);
-  const auto sumA = addMagnitude(a0, a1);
-  const auto sumB = addMagnitude(b0, b1);
-  auto z1 = mulMagnitude(sumA, sumB);
-  z1 = subMagnitude(z1, z0);
-  z1 = subMagnitude(z1, z2);
+  LimbVec z0;
+  mulMagnitude(a0, b0, z0);
+  LimbVec z2;
+  mulMagnitude(a1, b1, z2);
+  addInto(a0, a1.data(), a1.size()); // a0 + a1
+  addInto(b0, b1.data(), b1.size()); // b0 + b1
+  LimbVec z1;
+  mulMagnitude(a0, b0, z1);
+  subInto(z1, z0.data(), z0.size());
+  subInto(z1, z2.data(), z2.size());
 
-  // result = z0 + z1 << (32*half) + z2 << (64*half)
-  LimbVec result(std::max({z0.size(), z1.size() + half, z2.size() + 2 * half}) + 1, 0);
-  const auto accumulate = [&result](const LimbVec& part, std::size_t offset) {
+  // out = z0 + z1 << (32*half) + z2 << (64*half)
+  out.assign(std::max({z0.size(), z1.size() + half, z2.size() + 2 * half}) + 1, 0);
+  const auto accumulate = [&out](const LimbVec& part, std::size_t offset) {
     DoubleLimb carry = 0;
     std::size_t i = 0;
     for (; i < part.size(); ++i) {
-      const DoubleLimb current = static_cast<DoubleLimb>(result[offset + i]) + part[i] + carry;
-      result[offset + i] = static_cast<Limb>(current & 0xffffffffU);
+      const DoubleLimb current = static_cast<DoubleLimb>(out[offset + i]) + part[i] + carry;
+      out[offset + i] = static_cast<Limb>(current & 0xffffffffU);
       carry = current >> 32;
     }
     for (; carry != 0; ++i) {
-      const DoubleLimb current = static_cast<DoubleLimb>(result[offset + i]) + carry;
-      result[offset + i] = static_cast<Limb>(current & 0xffffffffU);
+      const DoubleLimb current = static_cast<DoubleLimb>(out[offset + i]) + carry;
+      out[offset + i] = static_cast<Limb>(current & 0xffffffffU);
       carry = current >> 32;
     }
   };
   accumulate(z0, 0);
   accumulate(z1, half);
   accumulate(z2, 2 * half);
-  while (!result.empty() && result.back() == 0) {
-    result.pop_back();
+  trimLimbs(out);
+}
+
+void BigInt::addSigned(const Limb* p, std::size_t n, bool negative) {
+  if (n == 0) {
+    return;
   }
-  return result;
+  if (limbs_.empty() || negative_ == negative) {
+    negative_ = negative; // a zero accumulator takes the addend's sign
+    addInto(limbs_, p, n);
+    return;
+  }
+  if (compareMagnitude(limbs_.data(), limbs_.size(), p, n) >= 0) {
+    subInto(limbs_, p, n);
+  } else {
+    subFrom(limbs_, p, n);
+    negative_ = negative;
+  }
+  trim();
 }
 
 BigInt& BigInt::operator+=(const BigInt& rhs) {
@@ -449,15 +634,7 @@ BigInt& BigInt::operator+=(const BigInt& rhs) {
     }
     return *this;
   }
-  if (negative_ == rhs.negative_) {
-    limbs_ = addMagnitude(limbs_, rhs.limbs_);
-  } else if (compareMagnitude(limbs_, rhs.limbs_) >= 0) {
-    limbs_ = subMagnitude(limbs_, rhs.limbs_);
-  } else {
-    limbs_ = subMagnitude(rhs.limbs_, limbs_);
-    negative_ = rhs.negative_;
-  }
-  trim();
+  addSigned(rhs.limbs_.data(), rhs.limbs_.size(), rhs.negative_);
   return *this;
 }
 
@@ -475,15 +652,7 @@ BigInt& BigInt::operator-=(const BigInt& rhs) {
     }
     return *this;
   }
-  if (negative_ != rhs.negative_) {
-    limbs_ = addMagnitude(limbs_, rhs.limbs_);
-  } else if (compareMagnitude(limbs_, rhs.limbs_) >= 0) {
-    limbs_ = subMagnitude(limbs_, rhs.limbs_);
-  } else {
-    limbs_ = subMagnitude(rhs.limbs_, limbs_);
-    negative_ = !negative_;
-  }
-  trim();
+  addSigned(rhs.limbs_.data(), rhs.limbs_.size(), !rhs.negative_);
   return *this;
 }
 
@@ -496,9 +665,46 @@ BigInt& BigInt::operator*=(const BigInt& rhs) {
     setMagU128(product, negative_ != rhs.negative_);
     return *this;
   }
+  if (isZero() || rhs.isZero()) {
+    limbs_.clear();
+    negative_ = false;
+    return *this;
+  }
+  LimbVec& product = scratch().product;
+  mulMagnitude(limbs_, rhs.limbs_, product);
+  limbs_.assign(product.begin(), product.end());
   negative_ = negative_ != rhs.negative_;
-  limbs_ = mulMagnitude(limbs_, rhs.limbs_);
-  trim();
+  return *this;
+}
+
+BigInt& BigInt::addMul(const BigInt& x, const BigInt& y) {
+  return accumulateProduct(x, y, false);
+}
+
+BigInt& BigInt::subMul(const BigInt& x, const BigInt& y) {
+  return accumulateProduct(x, y, true);
+}
+
+BigInt& BigInt::accumulateProduct(const BigInt& x, const BigInt& y, bool subtract) {
+  if (x.isZero() || y.isZero()) {
+    return *this;
+  }
+  const bool negative = (x.negative_ != y.negative_) != subtract;
+  if (fastPath() && x.magFitsU64() && y.magFitsU64()) {
+    unsigned __int128 product = static_cast<unsigned __int128>(x.magU64()) * y.magU64();
+    Limb limbs[4];
+    std::size_t n = 0;
+    for (; product != 0; product >>= 32) {
+      limbs[n++] = static_cast<Limb>(product);
+    }
+    addSigned(limbs, n, negative);
+    return *this;
+  }
+  // The product is complete before the accumulator changes, so x or y may be
+  // *this.
+  LimbVec& product = scratch().product;
+  mulMagnitude(x.limbs_, y.limbs_, product);
+  addSigned(product.data(), product.size(), negative);
   return *this;
 }
 
@@ -520,107 +726,41 @@ void BigInt::divModMagnitude(const LimbVec& a, const LimbVec& b,
       quotient[i] = static_cast<Limb>(current / b[0]);
       rem = current % b[0];
     }
-    while (!quotient.empty() && quotient.back() == 0) {
-      quotient.pop_back();
-    }
+    trimLimbs(quotient);
     if (rem != 0) {
       remainder.push_back(static_cast<Limb>(rem));
     }
     return;
   }
-
-  // Knuth Algorithm D.  Normalize so the divisor's top limb has its high bit set.
-  const int shift = leadingZeros(b.back());
+  const unsigned shift = static_cast<unsigned>(leadingZeros(b.back()));
   const std::size_t n = b.size();
   const std::size_t m = a.size() - n;
-
-  // u = a << shift (with one extra limb), v = b << shift.
-  LimbVec u(a.size() + 1, 0);
-  LimbVec v(n, 0);
-  if (shift == 0) {
-    std::copy(a.begin(), a.end(), u.begin());
-    v = b;
-  } else {
-    const std::size_t inverseShift = kLimbBits - static_cast<std::size_t>(shift);
-    for (std::size_t i = 0; i < n; ++i) {
-      v[i] = (b[i] << shift) | (i > 0 ? (b[i - 1] >> inverseShift) : 0);
-    }
-    for (std::size_t i = 0; i <= a.size(); ++i) {
-      const Limb low = i < a.size() ? (a[i] << shift) : 0;
-      const Limb high = i > 0 ? (a[i - 1] >> inverseShift) : 0;
-      u[i] = low | high;
-    }
-  }
-
+  Scratch& s = scratch();
+  shiftedCopy(a, shift, 1, s.u);
+  shiftedCopy(b, shift, 0, s.v);
   quotient.assign(m + 1, 0);
-  const DoubleLimb base = static_cast<DoubleLimb>(1) << 32;
-  for (std::size_t j = m + 1; j-- > 0;) {
-    // Estimate q_hat = (u[j+n]*base + u[j+n-1]) / v[n-1], then refine it with
-    // the second divisor limb so it is at most one too large.
-    const DoubleLimb numerator = (static_cast<DoubleLimb>(u[j + n]) << 32) | u[j + n - 1];
-    DoubleLimb qHat;
-    DoubleLimb rHat;
-    if (u[j + n] == v[n - 1]) {
-      qHat = base - 1;
-      rHat = static_cast<DoubleLimb>(u[j + n - 1]) + v[n - 1];
-    } else {
-      qHat = numerator / v[n - 1];
-      rHat = numerator % v[n - 1];
-    }
-    while (rHat < base &&
-           static_cast<unsigned __int128>(qHat) * v[n - 2] >
-               ((static_cast<unsigned __int128>(rHat) << 32) | u[j + n - 2])) {
-      --qHat;
-      rHat += v[n - 1];
-    }
-    // Multiply-and-subtract: u[j..j+n] -= qHat * v.
-    std::int64_t borrow = 0;
-    DoubleLimb carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const DoubleLimb product = qHat * v[i] + carry;
-      carry = product >> 32;
-      std::int64_t diff = static_cast<std::int64_t>(u[j + i]) -
-                          static_cast<std::int64_t>(product & 0xffffffffU) - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(base);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u[j + i] = static_cast<Limb>(diff);
-    }
-    std::int64_t topDiff = static_cast<std::int64_t>(u[j + n]) -
-                           static_cast<std::int64_t>(carry) - borrow;
-    if (topDiff < 0) {
-      // q_hat was one too large: add back.
-      topDiff += static_cast<std::int64_t>(base);
-      --qHat;
-      DoubleLimb addCarry = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const DoubleLimb sum = static_cast<DoubleLimb>(u[j + i]) + v[i] + addCarry;
-        u[j + i] = static_cast<Limb>(sum & 0xffffffffU);
-        addCarry = sum >> 32;
-      }
-      topDiff += static_cast<std::int64_t>(addCarry);
-      topDiff &= static_cast<std::int64_t>(base) - 1;
-    }
-    u[j + n] = static_cast<Limb>(topDiff);
-    quotient[j] = static_cast<Limb>(qHat);
+  knuthDivide(s.u.data(), m, s.v.data(), n, quotient.data());
+  trimLimbs(quotient);
+  shiftedDownCopy(s.u.data(), n, shift, remainder);
+}
+
+void BigInt::remMagnitude(const LimbVec& a, const LimbVec& b, LimbVec& remainder) {
+  assert(!b.empty());
+  if (compareMagnitude(a, b) < 0) {
+    remainder = a;
+    return;
   }
-  while (!quotient.empty() && quotient.back() == 0) {
-    quotient.pop_back();
+  if (b.size() <= 2) {
+    assignU64(remainder, modU64(a, b.size() == 1 ? b[0]
+                                                 : static_cast<std::uint64_t>(b[1]) << 32 | b[0]));
+    return;
   }
-  // Remainder = u[0..n) >> shift.
-  remainder.assign(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(n));
-  if (shift != 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      remainder[i] = (remainder[i] >> shift) |
-                     (i + 1 < n ? (remainder[i + 1] << (kLimbBits - static_cast<std::size_t>(shift))) : 0);
-    }
-  }
-  while (!remainder.empty() && remainder.back() == 0) {
-    remainder.pop_back();
-  }
+  const unsigned shift = static_cast<unsigned>(leadingZeros(b.back()));
+  Scratch& s = scratch();
+  shiftedCopy(a, shift, 1, s.u);
+  shiftedCopy(b, shift, 0, s.v);
+  knuthDivide(s.u.data(), a.size() - b.size(), s.v.data(), b.size(), nullptr);
+  shiftedDownCopy(s.u.data(), b.size(), shift, remainder);
 }
 
 void BigInt::divMod(const BigInt& numerator, const BigInt& denominator,
@@ -647,6 +787,64 @@ void BigInt::divMod(const BigInt& numerator, const BigInt& denominator,
   remainder.limbs_ = std::move(r);
   remainder.negative_ = numerator.negative_;
   remainder.trim();
+}
+
+BigInt& BigInt::divExact(const BigInt& divisor) {
+  assert(divisor.isOdd());
+  if (isZero()) {
+    return *this;
+  }
+  if (this == &divisor) {
+    setMagU64(1, false);
+    return *this;
+  }
+  const bool negative = negative_ != divisor.negative_;
+  if (fastPath() && magFitsU64() && divisor.magFitsU64()) {
+    assert(magU64() % divisor.magU64() == 0);
+    setMagU64(magU64() / divisor.magU64(), negative);
+    return *this;
+  }
+#ifndef NDEBUG
+  const BigInt dividend = *this;
+#endif
+  const std::size_t n = divisor.limbs_.size();
+  assert(limbs_.size() >= n);
+  const std::size_t quotientSize = limbs_.size() - n + 1;
+  const Limb* d = divisor.limbs_.data();
+  // Inverse of the odd low limb modulo 2^32 by Newton's iteration: d*d == 1
+  // (mod 8) gives 3 correct bits, and each step doubles them.
+  Limb inverse = d[0];
+  for (int step = 0; step < 4; ++step) {
+    inverse *= 2U - d[0] * inverse;
+  }
+  // Right to left: quotient limb i is the one that clears limb i.  Only the
+  // low quotientSize limbs are kept; in an exact division the rest reach 0.
+  Limb* u = limbs_.data();
+  for (std::size_t i = 0; i < quotientSize; ++i) {
+    const Limb q = u[i] * inverse;
+    const std::size_t span = std::min(n, quotientSize - i);
+    DoubleLimb borrow = 0; // carry of q*d plus the subtraction's borrow
+    for (std::size_t j = 0; j < span; ++j) {
+      const DoubleLimb product = static_cast<DoubleLimb>(q) * d[j] + borrow;
+      const auto low = static_cast<Limb>(product);
+      const Limb current = u[i + j];
+      u[i + j] = current - low;
+      borrow = (product >> 32) + (current < low ? 1U : 0U);
+    }
+    for (std::size_t k = i + span; borrow != 0 && k < quotientSize; ++k) {
+      const auto low = static_cast<Limb>(borrow);
+      const Limb current = u[k];
+      u[k] = current - low;
+      borrow = (borrow >> 32) + (current < low ? 1U : 0U);
+    }
+    assert(u[i] == 0);
+    u[i] = q;
+  }
+  limbs_.resize(quotientSize);
+  negative_ = negative;
+  trim();
+  assert(*this * divisor == dividend && "divExact: the division is not exact");
+  return *this;
 }
 
 BigInt BigInt::divRound(const BigInt& numerator, const BigInt& denominator) {
@@ -717,30 +915,28 @@ BigInt BigInt::shiftLeft(std::size_t bits) const {
   return result;
 }
 
-BigInt BigInt::shiftRight(std::size_t bits) const {
+BigInt& BigInt::operator>>=(std::size_t bits) {
   if (fastPath() && magFitsU64()) {
-    BigInt result;
-    result.setMagU64(bits >= 64 ? 0 : magU64() >> bits, negative_);
-    return result;
+    setMagU64(bits >= 64 ? 0 : magU64() >> bits, negative_);
+    return *this;
   }
   const std::size_t limbShift = bits / kLimbBits;
   if (limbShift >= limbs_.size()) {
-    return BigInt{};
+    limbs_.clear();
+    negative_ = false;
+    return *this;
   }
   const std::size_t bitShift = bits % kLimbBits;
-  BigInt result;
-  result.negative_ = negative_;
-  result.limbs_.assign(limbs_.begin() + static_cast<std::ptrdiff_t>(limbShift), limbs_.end());
-  if (bitShift != 0) {
-    for (std::size_t i = 0; i < result.limbs_.size(); ++i) {
-      result.limbs_[i] = (result.limbs_[i] >> bitShift) |
-                         (i + 1 < result.limbs_.size()
-                              ? (result.limbs_[i + 1] << (kLimbBits - bitShift))
-                              : 0);
-    }
+  const std::size_t size = limbs_.size() - limbShift;
+  for (std::size_t i = 0; i < size; ++i) {
+    const Limb high = bitShift != 0 && i + 1 < size
+                          ? limbs_[i + limbShift + 1] << (kLimbBits - bitShift)
+                          : 0;
+    limbs_[i] = (limbs_[i + limbShift] >> bitShift) | high;
   }
-  result.trim();
-  return result;
+  limbs_.resize(size);
+  trim();
+  return *this;
 }
 
 std::size_t BigInt::countTrailingZeroBits() const {
@@ -800,8 +996,8 @@ void finishSignedSum(qadd::detail::LimbVec& out, __int128 carry) {
 
 /// Lehmer's cofactor step in one signed-carry pass over the limbs:
 ///   outX = |mA*a + mB*b|  and  outY = |mC*a + mD*b|.
-/// The outputs are caller-owned scratch reused across rounds, so a round
-/// allocates nothing once they have grown to the first round's size.
+/// The outputs are per-thread scratch reused across rounds and calls, so a
+/// round allocates nothing once they have grown to the operands' size.
 /// |cofactors| <= 2^62 keeps every running sum below 2^96.
 /// \pre a.size() >= b.size()
 void lehmerCombine(const qadd::detail::LimbVec& a, const qadd::detail::LimbVec& b,
@@ -830,39 +1026,52 @@ void lehmerCombine(const qadd::detail::LimbVec& a, const qadd::detail::LimbVec& 
 
 } // namespace
 
-BigInt BigInt::gcd(BigInt a, BigInt b) {
+BigInt BigInt::gcd(BigInt a, const BigInt& b) {
   a.negative_ = false;
-  b.negative_ = false;
-  if (a.isZero()) {
-    return b;
-  }
   if (b.isZero()) {
     return a;
   }
+  if (a.isZero()) {
+    return b.abs();
+  }
   if (fastPath() && a.magFitsU64() && b.magFitsU64()) {
     // Hardware Euclid straight away — no multi-limb setup needed.
-    std::uint64_t x = a.magU64();
-    std::uint64_t y = b.magU64();
-    while (y != 0) {
-      x %= y;
-      std::swap(x, y);
-    }
-    a.setMagU64(x, false);
+    a.setMagU64(euclidU64(a.magU64(), b.magU64()), false);
     return a;
   }
+  // Two owned operands without a copy of b: reduce a below b in place, then
+  // take c = b mod a, since gcd(a, b) = gcd(a mod b, b) = gcd(a, b mod a).
+  if (compareMagnitude(a.limbs_, b.limbs_) >= 0) {
+    remMagnitude(a.limbs_, b.limbs_, a.limbs_);
+    if (a.isZero()) {
+      return b.abs();
+    }
+  }
+  if (a.magFitsU64()) {
+    const std::uint64_t x = a.magU64();
+    a.setMagU64(euclidU64(x, modU64(b.limbs_, x)), false);
+    return a;
+  }
+  BigInt c;
+  remMagnitude(b.limbs_, a.limbs_, c.limbs_);
   // Lehmer's GCD: run Euclid on the aligned top 62 bits of both operands with
   // int64 cofactors, then apply the accumulated 2x2 matrix (determinant +-1,
   // so the gcd is preserved) to the full values in one O(limbs) pass.  Each
   // round retires ~30 bits, against 1 bit per subtract-and-shift round of the
   // binary GCD this replaces — the difference dominated whole-simulation
   // profiles via the canonicalization content gcd.
-  LimbVec nextA;
-  LimbVec nextB;
-  while (a.limbs_.size() > 2 || b.limbs_.size() > 2) {
-    if (compareMagnitude(a.limbs_, b.limbs_) < 0) {
-      std::swap(a, b);
+  Scratch& s = scratch();
+  for (;;) {
+    if (compareMagnitude(a.limbs_, c.limbs_) < 0) {
+      std::swap(a.limbs_, c.limbs_);
     }
-    if (b.isZero()) {
+    if (c.isZero()) {
+      return a;
+    }
+    if (c.magFitsU64()) {
+      // One 128-bit pass brings a below 2^64; hardware Euclid finishes.
+      const std::uint64_t y = c.magU64();
+      a.setMagU64(euclidU64(y, modU64(a.limbs_, y)), false);
       return a;
     }
     const std::size_t bits = a.bitLength();
@@ -870,7 +1079,7 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
     // inside int64.
     const std::size_t shift = bits > 62 ? bits - 62 : 0;
     std::int64_t xh = static_cast<std::int64_t>(topWindow(a.limbs_, shift));
-    std::int64_t yh = static_cast<std::int64_t>(topWindow(b.limbs_, shift));
+    std::int64_t yh = static_cast<std::int64_t>(topWindow(c.limbs_, shift));
     std::int64_t mA = 1;
     std::int64_t mB = 0;
     std::int64_t mC = 0;
@@ -899,44 +1108,22 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
       xh = yh;
       yh = static_cast<std::int64_t>(nextY);
     }
-    if (mB == 0) {
-      // The window carried no usable quotient (e.g. |a| >> |b|): take one
-      // full division step instead.
-      LimbVec quotient;
-      LimbVec remainder;
-      divModMagnitude(a.limbs_, b.limbs_, quotient, remainder);
-      a.limbs_ = std::move(b.limbs_);
-      b.limbs_ = std::move(remainder);
-    } else {
-      lehmerCombine(a.limbs_, b.limbs_, mA, mB, mC, mD, nextA, nextB);
-      if (compareMagnitude(nextB, b.limbs_) >= 0) {
-        // No reduction (pathological window): force progress by division.
-        LimbVec quotient;
-        LimbVec remainder;
-        divModMagnitude(a.limbs_, b.limbs_, quotient, remainder);
-        a.limbs_ = std::move(b.limbs_);
-        b.limbs_ = std::move(remainder);
-      } else {
+    if (mB != 0) {
+      lehmerCombine(a.limbs_, c.limbs_, mA, mB, mC, mD, s.x, s.y);
+      if (compareMagnitude(s.y, c.limbs_) < 0) {
         // Copy back rather than swap buffers: the remainders never outgrow
         // the operands they replace, so this stays allocation-free.
-        a.limbs_.assign(nextA.begin(), nextA.end());
-        b.limbs_.assign(nextB.begin(), nextB.end());
+        a.limbs_.assign(s.x.begin(), s.x.end());
+        c.limbs_.assign(s.y.begin(), s.y.end());
+        continue;
       }
     }
+    // The window carried no usable quotient (e.g. |a| >> |c|), or the step
+    // did not reduce (a pathological window): take one remainder step, in
+    // place, with no quotient.
+    remMagnitude(a.limbs_, c.limbs_, a.limbs_);
+    std::swap(a.limbs_, c.limbs_);
   }
-  // Word-size finish with hardware Euclid.
-  std::uint64_t x = a.magU64();
-  std::uint64_t y = b.magU64();
-  if (x < y) {
-    std::swap(x, y);
-  }
-  while (y != 0) {
-    x %= y;
-    std::swap(x, y);
-  }
-  BigInt result;
-  result.setMagU64(x, false);
-  return result;
 }
 
 std::strong_ordering operator<=>(const BigInt& lhs, const BigInt& rhs) noexcept {

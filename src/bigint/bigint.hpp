@@ -4,13 +4,32 @@
 /// This is the repository's replacement for GMP (which the paper uses for the
 /// integer coefficients of its algebraic number representation).  The design
 /// is a classic sign-magnitude big integer: the magnitude is a little-endian
-/// sequence of 32-bit limbs, multiplication switches to Karatsuba above a
-/// threshold, and division implements Knuth's Algorithm D.
+/// sequence of 32-bit limbs, and multiplication switches to Karatsuba above a
+/// threshold.
+///
+/// Division comes in three forms, each doing no more work than its caller
+/// needs:
+///  - divMod (and /, %, divRound) is Knuth's Algorithm D: normalize so the
+///    divisor's top bit is set, estimate each quotient limb from the top two
+///    limbs, correct it at most twice, multiply-and-subtract.
+///  - divExact divides by an odd divisor known to divide the value, right to
+///    left (Hensel/Jebelean): each quotient limb is the low limb times the
+///    divisor's inverse mod 2^32, so there is no normalization shift, no
+///    estimate to correct and no remainder.  It works in the value's own limbs.
+///    QOmega's canonicalization uses it to cancel odd content.
+///  - gcd reduces with Lehmer's algorithm and, where a window carries no
+///    quotient, with remainder-only steps: Algorithm D without the quotient
+///    into per-thread scratch, or one 128-bit pass when the smaller operand
+///    fits in 64 bits, after which hardware Euclid finishes.
 ///
 /// Storage is small-size optimized: magnitudes of up to two limbs — i.e.
 /// |value| < 2^64, the overwhelmingly common case for the Q[omega]
 /// coefficients of Clifford+T workloads — live inline in the object with no
-/// heap allocation; larger magnitudes spill to a heap buffer.
+/// heap allocation; larger magnitudes spill to a heap buffer.  The multi-limb
+/// algorithms work in place where the result fits (+=, -=, addMul/subMul,
+/// divExact) and keep their temporaries (Algorithm D's normalized operands,
+/// Lehmer's cofactor outputs, a product) in per-thread scratch buffers that
+/// only grow, so a spilled operation allocates at most its result.
 /// On top of the storage layout, the arithmetic operators take single-word
 /// (u64/u128) fast paths for small operands and fall back to the general
 /// limb-vector algorithms on overflow.  detail::setSmallFastPaths(false)
@@ -112,6 +131,16 @@ public:
   [[nodiscard]] value_type back() const noexcept { return data()[size_ - 1]; }
 
   void clear() noexcept { size_ = 0; }
+  /// Move limbs that fit inline off the heap buffer and free it, so a value
+  /// that shrank in place is stored like a freshly built one.
+  void inlineIfSmall() noexcept {
+    if (isHeap() && size_ <= kInlineLimbs) {
+      value_type* heap = storage_.heap;
+      std::memcpy(storage_.inlineLimbs, heap, size_ * sizeof(value_type));
+      delete[] heap;
+      capacity_ = kInlineLimbs;
+    }
+  }
   void pop_back() noexcept { --size_; }
   void push_back(value_type value) {
     if (size_ == capacity_) {
@@ -124,6 +153,15 @@ public:
     if (count > capacity_) {
       grow(count);
     }
+  }
+  /// Set the size to `count`, preserving the limbs below it; new limbs are 0.
+  void resize(std::size_t count) {
+    reserve(count);
+    value_type* out = data();
+    for (std::size_t i = size_; i < count; ++i) {
+      out[i] = 0;
+    }
+    size_ = static_cast<std::uint32_t>(count);
   }
   void assign(std::size_t count, value_type value) {
     discardingReserve(count);
@@ -282,6 +320,8 @@ public:
 
   [[nodiscard]] BigInt operator-() const;
   [[nodiscard]] BigInt abs() const;
+  /// Flip the sign in place.
+  void negate() noexcept { negative_ = !negative_ && !isZero(); }
 
   BigInt& operator+=(const BigInt& rhs);
   BigInt& operator-=(const BigInt& rhs);
@@ -291,11 +331,40 @@ public:
   /// Remainder matching truncated division: (a/b)*b + a%b == a.
   BigInt& operator%=(const BigInt& rhs);
 
-  friend BigInt operator+(BigInt lhs, const BigInt& rhs) { return lhs += rhs; }
-  friend BigInt operator-(BigInt lhs, const BigInt& rhs) { return lhs -= rhs; }
-  friend BigInt operator*(BigInt lhs, const BigInt& rhs) { return lhs *= rhs; }
-  friend BigInt operator/(BigInt lhs, const BigInt& rhs) { return lhs /= rhs; }
-  friend BigInt operator%(BigInt lhs, const BigInt& rhs) { return lhs %= rhs; }
+  // Returning the by-value parameter moves it; `return lhs op= rhs` would
+  // copy-construct from the returned reference.
+  friend BigInt operator+(BigInt lhs, const BigInt& rhs) {
+    lhs += rhs;
+    return lhs;
+  }
+  friend BigInt operator-(BigInt lhs, const BigInt& rhs) {
+    lhs -= rhs;
+    return lhs;
+  }
+  friend BigInt operator*(BigInt lhs, const BigInt& rhs) {
+    lhs *= rhs;
+    return lhs;
+  }
+  friend BigInt operator/(BigInt lhs, const BigInt& rhs) {
+    lhs /= rhs;
+    return lhs;
+  }
+  friend BigInt operator%(BigInt lhs, const BigInt& rhs) {
+    lhs %= rhs;
+    return lhs;
+  }
+
+  /// Fused multiply-accumulate: *this += x * y (addMul) or *this -= x * y
+  /// (subMul), through one per-thread product buffer; the accumulator grows
+  /// only when the sum outgrows it.  x or y may be *this.
+  BigInt& addMul(const BigInt& x, const BigInt& y);
+  BigInt& subMul(const BigInt& x, const BigInt& y);
+
+  /// Exact division by an odd divisor that divides the value, in place
+  /// (right-to-left Hensel division; see the file comment).  Zero stays zero.
+  /// Debug builds assert that the division is exact.
+  /// \pre divisor is odd and divides *this
+  BigInt& divExact(const BigInt& divisor);
 
   /// Quotient and remainder of truncated division in one pass.
   /// \throws std::domain_error on division by zero.
@@ -310,10 +379,17 @@ public:
   [[nodiscard]] BigInt shiftLeft(std::size_t bits) const;
   /// Arithmetic-magnitude right shift (divides magnitude by 2^bits, keeps sign;
   /// truncates toward zero).
-  [[nodiscard]] BigInt shiftRight(std::size_t bits) const;
+  [[nodiscard]] BigInt shiftRight(std::size_t bits) const {
+    BigInt result = *this;
+    result >>= bits;
+    return result;
+  }
+  /// shiftRight in place.
+  BigInt& operator>>=(std::size_t bits);
 
-  /// Greatest common divisor (always non-negative).
-  [[nodiscard]] static BigInt gcd(BigInt a, BigInt b);
+  /// Greatest common divisor (always non-negative).  `b` is only read, never
+  /// copied: the loop starts from a mod b and b mod (a mod b).
+  [[nodiscard]] static BigInt gcd(BigInt a, const BigInt& b);
 
   /// Largest e such that 2^e divides the value. \pre !isZero()
   [[nodiscard]] std::size_t countTrailingZeroBits() const;
@@ -358,15 +434,30 @@ private:
   /// past two limbs).
   void setMagU128(unsigned __int128 magnitude, bool negative);
 
+  /// *this += (negative ? -1 : +1) * |p[0..n)|, in limbs_.  `p` may be
+  /// limbs_ itself only as a whole (x += x).
+  void addSigned(const Limb* p, std::size_t n, bool negative);
+  BigInt& accumulateProduct(const BigInt& x, const BigInt& y, bool subtract);
+
   // magnitude helpers (ignore signs)
-  static int compareMagnitude(const LimbVec& a, const LimbVec& b) noexcept;
-  static LimbVec addMagnitude(const LimbVec& a, const LimbVec& b);
-  /// \pre |a| >= |b|
-  static LimbVec subMagnitude(const LimbVec& a, const LimbVec& b);
-  static LimbVec mulMagnitude(const LimbVec& a, const LimbVec& b);
-  static LimbVec mulSchoolbook(const LimbVec& a, const LimbVec& b);
+  static int compareMagnitude(const Limb* a, std::size_t an, const Limb* b,
+                              std::size_t bn) noexcept;
+  static int compareMagnitude(const LimbVec& a, const LimbVec& b) noexcept {
+    return compareMagnitude(a.data(), a.size(), b.data(), b.size());
+  }
+  /// acc += |p|.
+  static void addInto(LimbVec& acc, const Limb* p, std::size_t n);
+  /// acc -= |p|. \pre |acc| >= |p|
+  static void subInto(LimbVec& acc, const Limb* p, std::size_t n);
+  /// acc = |p| - acc. \pre |p| >= |acc|
+  static void subFrom(LimbVec& acc, const Limb* p, std::size_t n);
+  /// out = a * b. \pre out aliases neither operand
+  static void mulMagnitude(const LimbVec& a, const LimbVec& b, LimbVec& out);
+  static void mulSchoolbook(const LimbVec& a, const LimbVec& b, LimbVec& out);
   static void divModMagnitude(const LimbVec& a, const LimbVec& b,
                               LimbVec& quotient, LimbVec& remainder);
+  /// remainder = a mod b with no quotient; `remainder` may be `a`.
+  static void remMagnitude(const LimbVec& a, const LimbVec& b, LimbVec& remainder);
 };
 
 /// Convenience literal-ish factory: 2^exponent.

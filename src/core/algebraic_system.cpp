@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <utility>
 
 namespace qadd::dd {
 
@@ -19,8 +20,9 @@ AlgebraicSystem::AlgebraicSystem(Config config) : config_(config) {
   (void)o;
 }
 
-AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) {
-  const auto [it, inserted] = pool_.try_emplace(value);
+template <class Value> AlgebraicSystem::Weight AlgebraicSystem::internValue(Value&& value) {
+  // try_emplace copies or moves the key only when it inserts.
+  const auto [it, inserted] = pool_.try_emplace(std::forward<Value>(value));
   if (inserted) {
     try {
       it->second = num::mintHandle(entries_.size());
@@ -29,7 +31,7 @@ AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) {
       pool_.erase(it); // a failed intern leaves no handle-less pool entry behind
       throw;
     }
-    const std::size_t bits = value.maxBits();
+    const std::size_t bits = it->first.maxBits();
     maxBits_ = std::max(maxBits_, bits);
     if constexpr (obs::kEnabled) {
       if (bitWidthHistogram_.size() <= bits) {
@@ -39,6 +41,12 @@ AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) {
     }
   }
   return it->second;
+}
+
+AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) { return internValue(value); }
+
+AlgebraicSystem::Weight AlgebraicSystem::intern(QOmega&& value) {
+  return internValue(std::move(value));
 }
 
 AlgebraicSystem::Weight AlgebraicSystem::add(Weight a, Weight b) {
@@ -105,6 +113,7 @@ AlgebraicSystem::Weight AlgebraicSystem::conj(Weight a) {
 }
 
 AlgebraicSystem::Weight AlgebraicSystem::normalize(std::span<Weight> weights) {
+  const TallyScope tally(*this);
   std::size_t pivot = weights.size();
   for (std::size_t i = 0; i < weights.size(); ++i) {
     if (!isZero(weights[i])) {
@@ -160,9 +169,10 @@ AlgebraicSystem::Weight AlgebraicSystem::normalize(std::span<Weight> weights) {
     const ZOmega canonical = alg::canonicalAssociate(quotient);
     // eta = leftmost / canonical: dividing by eta maps the leftmost weight to
     // its canonical associate and keeps every weight inside D[omega].
-    const QOmega eta = leftmost / QOmega{canonical};
-    factor = intern(eta);
-    if (!eta.isOne()) {
+    QOmega eta = leftmost / QOmega{canonical};
+    const bool etaIsOne = eta.isOne();
+    factor = intern(std::move(eta));
+    if (!etaIsOne) {
       const Weight etaInverse = inverseOf(factor);
       for (Weight& w : weights) {
         w = mul(w, etaInverse);

@@ -75,7 +75,9 @@ public:
   Weight normalize(std::span<Weight> weights);
 
   [[nodiscard]] const alg::QOmega& value(Weight w) const { return *entries_[w]; }
+  /// Handle of `value`; an rvalue moves into the pool when it is new.
   [[nodiscard]] Weight intern(const alg::QOmega& value);
+  [[nodiscard]] Weight intern(alg::QOmega&& value);
 
   [[nodiscard]] std::complex<double> toComplex(Weight w) const {
     return value(w).toComplex();
@@ -86,12 +88,11 @@ public:
   [[nodiscard]] bool memoizationOrderDependent() const { return false; }
 
   [[nodiscard]] std::size_t distinctValues() const { return entries_.size(); }
-  /// O(1) view of the process-wide word-kernel fast-path tallies (see
-  /// collectObs), cheap enough for per-gate timeline sampling.
-  [[nodiscard]] std::uint64_t smallPathHits() const { return alg::detail::smallPathStats().hits; }
-  [[nodiscard]] std::uint64_t smallPathSpills() const {
-    return alg::detail::smallPathStats().spills;
-  }
+  /// This system's word-kernel fast-path tallies (see collectObs): the ring
+  /// operations its own weight operations ran.  O(1), cheap enough for
+  /// per-gate timeline sampling.
+  [[nodiscard]] std::uint64_t smallPathHits() const { return smallPaths_.hits; }
+  [[nodiscard]] std::uint64_t smallPathSpills() const { return smallPaths_.spills; }
   /// Largest coefficient/denominator bit width ever interned — the cost
   /// driver the paper identifies for the GSE blow-up (Section V-B).
   [[nodiscard]] std::size_t maxBits() const { return maxBits_; }
@@ -118,10 +119,8 @@ public:
     out.bucketOccupancy.clear();
     out.bitWidthHistogram = bitWidthHistogram_;
     out.opCache = opStats_;
-    // The word-kernel tallies are process-wide (the arithmetic layer has no
-    // handle on which system drove it), matching the other global counters.
-    out.smallPathHits = alg::detail::smallPathStats().hits;
-    out.smallPathSpills = alg::detail::smallPathStats().spills;
+    out.smallPathHits = smallPaths_.hits;
+    out.smallPathSpills = smallPaths_.spills;
   }
 
 private:
@@ -131,6 +130,33 @@ private:
   [[nodiscard]] static WeightPairKey commutativeKey(Weight a, Weight b) {
     return a <= b ? WeightPairKey{a, b} : WeightPairKey{b, a};
   }
+
+  /// Adds this thread's small-path tally delta (alg::detail::smallPathStats)
+  /// over a weight operation to this system's counts.  Only the outermost
+  /// scope adds, so an operation that runs others (div, normalize) counts
+  /// each ring operation once.
+  class TallyScope {
+  public:
+    explicit TallyScope(AlgebraicSystem& system)
+        : system_(system), start_(alg::detail::smallPathStats()) {
+      ++system_.tallyDepth_;
+    }
+    TallyScope(const TallyScope&) = delete;
+    TallyScope& operator=(const TallyScope&) = delete;
+    ~TallyScope() {
+      if (--system_.tallyDepth_ == 0) {
+        const alg::detail::SmallPathStats& now = alg::detail::smallPathStats();
+        system_.smallPaths_.hits += now.hits - start_.hits;
+        system_.smallPaths_.spills += now.spills - start_.spills;
+      }
+    }
+
+  private:
+    AlgebraicSystem& system_;
+    alg::detail::SmallPathStats start_;
+  };
+
+  template <class Value> [[nodiscard]] Weight internValue(Value&& value);
 
   /// Interned handle of 1/value(w), memoized per handle.  The Q[omega]
   /// inverse (norm computation + gcd canonicalization over huge integers)
@@ -149,6 +175,7 @@ private:
       return hit;
     }
     opStats_.misses.inc();
+    const TallyScope tally(*this);
     const Weight result = compute();
     if (cache.insert(key, result)) {
       opStats_.evictions.inc();
@@ -172,6 +199,8 @@ private:
   OpCache divCache_;
   OpCache invCache_;
   obs::CacheStats opStats_;
+  alg::detail::SmallPathStats smallPaths_;
+  unsigned tallyDepth_ = 0;
 };
 
 } // namespace qadd::dd

@@ -138,18 +138,17 @@ struct WeightTableStats {
   /// systems layer over their intern pools).  For the numeric system these
   /// run only under bit-exact interning; tolerance mode bypasses them.
   CacheStats opCache;
-  /// Small-value fast-path tallies of the algebraic arithmetic layer
-  /// (process-wide, see src/algebraic/small_kernels.hpp): ring operations
-  /// served entirely by the int64/int128 word kernels vs operations that
-  /// probed the fast path and fell back to BigInt.  Zero for the numeric
-  /// system.
+  /// Small-value fast-path tallies of the algebraic arithmetic layer (see
+  /// src/algebraic/small_kernels.hpp): ring operations this package's weight
+  /// operations served entirely by the int64/int128 word kernels vs
+  /// operations that probed the fast path and fell back to BigInt.  Zero for
+  /// the numeric system.
   std::uint64_t smallPathHits = 0;
   std::uint64_t smallPathSpills = 0;
 
-  /// Merge a second weight-table snapshot: event counters sum, fill gauges
-  /// max, histograms add element-wise.  The small-path tallies are snapshots
-  /// of one process-wide counter, so merging them takes the max (summing
-  /// would double-count the shared counter).
+  /// Merge a second weight-table snapshot: event counters (the small-path
+  /// tallies among them, which count one package's work each) sum, fill
+  /// gauges max, histograms add element-wise.
   WeightTableStats& operator+=(const WeightTableStats& other) {
     if (system.empty()) {
       system = other.system;
@@ -159,8 +158,8 @@ struct WeightTableStats {
     entries = std::max(entries, other.entries);
     nearMissUnifications += other.nearMissUnifications;
     opCache += other.opCache;
-    smallPathHits = std::max(smallPathHits, other.smallPathHits);
-    smallPathSpills = std::max(smallPathSpills, other.smallPathSpills);
+    smallPathHits += other.smallPathHits;
+    smallPathSpills += other.smallPathSpills;
     const auto addHistogram = [](std::vector<std::uint64_t>& into,
                                  const std::vector<std::uint64_t>& from) {
       if (into.size() < from.size()) {

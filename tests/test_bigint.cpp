@@ -224,18 +224,34 @@ BigInt randomBits(std::mt19937_64& rng, std::size_t bits) {
   return value.bitLength() == bits ? value : value + pow2(bits - 1);
 }
 
+/// Plain Euclid on %: the oracle shares no code with the Lehmer loop.
+BigInt euclid(BigInt x, BigInt y) {
+  x = x.abs();
+  y = y.abs();
+  while (!y.isZero()) {
+    BigInt remainder = x % y;
+    x = std::move(y);
+    y = std::move(remainder);
+  }
+  return x;
+}
+
+/// A random magnitude of exactly `limbs` 32-bit limbs (zero for 0).
+BigInt randomLimbs(std::mt19937_64& rng, std::size_t limbs) {
+  return limbs == 0 ? BigInt{0} : randomBits(rng, 32 * (limbs - 1) + 1 + rng() % 32);
+}
+
+/// Run `body` with the word kernels on, then off (the differential oracle).
+template <class Body> void withAndWithoutFastPaths(Body body) {
+  for (const bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "small fast paths on" : "small fast paths off");
+    const bool previous = detail::setSmallFastPaths(enabled);
+    body();
+    detail::setSmallFastPaths(previous);
+  }
+}
+
 TEST(BigInt, GcdMatchesEuclidOracleMultiLimb) {
-  // Plain Euclid on %: the oracle shares no code with the Lehmer loop.
-  const auto euclid = [](BigInt x, BigInt y) {
-    x = x.abs();
-    y = y.abs();
-    while (!y.isZero()) {
-      BigInt remainder = x % y;
-      x = std::move(y);
-      y = std::move(remainder);
-    }
-    return x;
-  };
   std::mt19937_64 rng(23);
   const auto check = [&](const BigInt& a, const BigInt& b) {
     const BigInt expected = euclid(a, b);
@@ -280,6 +296,78 @@ TEST(BigInt, GcdMatchesEuclidOracleMultiLimb) {
     check(pow2(bits) - BigInt{1}, pow2(bits) + BigInt{1});
     check(pow2(bits) - BigInt{1}, pow2(bits / 2) - BigInt{1});
   }
+}
+
+TEST(BigInt, GcdOfVeryUnequalOperandsMatchesEuclidOracle) {
+  // |a| >> |b|: a b of up to two limbs takes the one-pass 128-bit reduction,
+  // a wider b leaves Lehmer's window without a quotient, so the loop takes a
+  // remainder-only step.  Both argument orders also run the reduction of
+  // the larger operand before the loop.
+  std::mt19937_64 rng(37);
+  withAndWithoutFastPaths([&] {
+    for (const std::size_t smallLimbs : {1, 2, 3, 4, 7}) {
+      for (const std::size_t largeLimbs : {6, 20, 64}) {
+        const BigInt g = randomLimbs(rng, 1);
+        const BigInt b = g * randomLimbs(rng, smallLimbs - 1);
+        const BigInt a = g * randomLimbs(rng, largeLimbs);
+        for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}, std::pair{-a, b},
+                                   std::pair{b, -a}, std::pair{a * b, b}}) {
+          EXPECT_EQ(BigInt::gcd(x, y), euclid(x, y)) << x << " " << y;
+        }
+        const BigInt coprime = randomLimbs(rng, smallLimbs) * BigInt{2} + BigInt{1};
+        EXPECT_EQ(BigInt::gcd(a, coprime), euclid(a, coprime));
+        EXPECT_EQ(BigInt::gcd(coprime, a), euclid(coprime, a));
+      }
+    }
+  });
+}
+
+TEST(BigInt, DivExactMatchesDivMod) {
+  // Odd divisors of 1-40 limbs times quotients of 0-40 limbs, all signs.
+  std::mt19937_64 rng(41);
+  withAndWithoutFastPaths([&] {
+    for (std::size_t divisorLimbs = 1; divisorLimbs <= 40; ++divisorLimbs) {
+      for (std::size_t quotientLimbs = 0; quotientLimbs <= 40; ++quotientLimbs) {
+        BigInt divisor = randomLimbs(rng, divisorLimbs);
+        if (divisor.isEven()) {
+          divisor += BigInt{1};
+        }
+        BigInt quotient = randomLimbs(rng, quotientLimbs);
+        if ((rng() & 1U) != 0) {
+          divisor.negate();
+        }
+        if ((rng() & 1U) != 0) {
+          quotient.negate();
+        }
+        const BigInt dividend = quotient * divisor;
+        BigInt expected;
+        BigInt remainder;
+        BigInt::divMod(dividend, divisor, expected, remainder);
+        ASSERT_TRUE(remainder.isZero());
+        BigInt exact = dividend;
+        exact.divExact(divisor);
+        EXPECT_EQ(exact, expected) << dividend << " / " << divisor;
+        EXPECT_EQ(exact, quotient);
+      }
+    }
+    // Aliasing and a divisor equal to the numerator.
+    BigInt x = randomLimbs(rng, 7);
+    if (x.isEven()) {
+      x += BigInt{1};
+    }
+    BigInt copy = x;
+    EXPECT_EQ(copy.divExact(x), BigInt{1});
+    BigInt negated = -x;
+    EXPECT_EQ(negated.divExact(x), BigInt{-1});
+    BigInt self = -x;
+    EXPECT_EQ(self.divExact(self), BigInt{1});
+    BigInt small{-15};
+    EXPECT_EQ(small.divExact(small), BigInt{1});
+    // Zero stays zero for any odd divisor.
+    BigInt zero;
+    EXPECT_TRUE(zero.divExact(x).isZero());
+    EXPECT_FALSE(zero.isNegative());
+  });
 }
 
 TEST(BigInt, ToDoubleAccuracy) {

@@ -5,7 +5,6 @@
 /// thread-safe span tracer, and the determinism contract of eval::runSweep —
 /// a parallel sweep must produce byte-identical value columns and final
 /// state snapshots to the serial path.
-#include "algebraic/small_kernels.hpp"
 #include "algorithms/grover.hpp"
 #include "eval/report.hpp"
 #include "eval/sweep.hpp"
@@ -189,15 +188,18 @@ TEST(StatsMerge, CountersSumGaugesMax) {
   EXPECT_EQ(a.threads, 1U);
 }
 
-TEST(StatsMerge, SmallPathSnapshotsTakeMaxNotSum) {
-  // The small-path tallies are snapshots of one process-wide counter; a sum
-  // across per-worker snapshots would double-count it.
+TEST(StatsMerge, SmallPathTalliesSum) {
+  // Each package's small-path tallies count only its own weight operations,
+  // so per-worker snapshots add up like the other event counters.
   obs::PackageStats a;
   obs::PackageStats b;
   a.weights.smallPathHits = 100;
   b.weights.smallPathHits = 250;
+  a.weights.smallPathSpills = 7;
+  b.weights.smallPathSpills = 5;
   a += b;
-  EXPECT_EQ(a.weights.smallPathHits, 250U);
+  EXPECT_EQ(a.weights.smallPathHits, 350U);
+  EXPECT_EQ(a.weights.smallPathSpills, 12U);
 }
 
 TEST(StatsMerge, MismatchedHistogramSizesResizeEitherDirection) {
@@ -374,16 +376,9 @@ TEST(RunSweep, TracesComeBackInSpecOrder) {
 
 TEST(RunSweep, ParallelMatchesSerialByteForByte) {
   const eval::SweepSpec sweep = groverSweep();
-  // The algebraic small-path tallies in finalStats are process-wide; restart
-  // them so both sweeps' reference runs count alike.
-  const auto runFresh = [&sweep](exec::ThreadPool* pool) {
-    alg::detail::smallPathStats().hits = 0;
-    alg::detail::smallPathStats().spills = 0;
-    return eval::runSweep(sweep, pool);
-  };
-  const eval::SweepResult serial = runFresh(nullptr);
+  const eval::SweepResult serial = eval::runSweep(sweep, nullptr);
   exec::ThreadPool pool(4);
-  const eval::SweepResult parallel = runFresh(&pool);
+  const eval::SweepResult parallel = eval::runSweep(sweep, &pool);
 
   EXPECT_EQ(serial.jobs, 1U);
   EXPECT_EQ(parallel.jobs, 4U);

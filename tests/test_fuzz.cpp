@@ -286,6 +286,53 @@ TEST_P(FuzzSmallPathDifferential, RingOpsMatchSpillPath) {
   }
 }
 
+TEST_P(FuzzSmallPathDifferential, MultiplyAccumulateMatchesPlainFormulas) {
+  // addMul/subMul and the Z[omega] product, scaling and norm they build,
+  // against the formulas written with plain BigInt operators, on both paths.
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 40961 + 23);
+  const unsigned widths[] = {1, 31, 32, 62, 64, 65, 150, 400, 700};
+  const auto randomWidth = [&] { return randomBigInt(rng, widths[rng() % std::size(widths)]); };
+  for (const bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "small fast paths on" : "small fast paths off");
+    FastPathGuard guard(enabled);
+    for (int round = 0; round < 30; ++round) {
+      const BigInt acc = randomWidth();
+      const BigInt x = randomWidth();
+      const BigInt y = randomWidth();
+      BigInt added = acc;
+      EXPECT_EQ(added.addMul(x, y), acc + x * y);
+      BigInt subtracted = acc;
+      EXPECT_EQ(subtracted.subMul(x, y), acc - x * y);
+      BigInt aliased = x;
+      EXPECT_EQ(aliased.addMul(aliased, y), x + x * y);
+      BigInt square = x;
+      EXPECT_EQ(square.subMul(square, square), x - x * x);
+
+      const alg::ZOmega p{randomWidth(), randomWidth(), randomWidth(), randomWidth()};
+      const alg::ZOmega q{randomWidth(), randomWidth(), randomWidth(), randomWidth()};
+      const alg::ZOmega expected{
+          p.a() * q.d() + p.b() * q.c() + p.c() * q.b() + p.d() * q.a(),
+          p.b() * q.d() + p.c() * q.c() + p.d() * q.b() - p.a() * q.a(),
+          p.c() * q.d() + p.d() * q.c() - p.a() * q.b() - p.b() * q.a(),
+          p.d() * q.d() - p.a() * q.c() - p.b() * q.b() - p.c() * q.a()};
+      EXPECT_EQ(p * q, expected);
+      alg::ZOmega inPlace = p;
+      inPlace *= inPlace;
+      EXPECT_EQ(inPlace, p * p);
+      EXPECT_EQ(p.scaled(x), (alg::ZOmega{p.a() * x, p.b() * x, p.c() * x, p.d() * x}));
+      BigInt u;
+      BigInt v;
+      p.norm(u, v);
+      EXPECT_EQ(u, p.a() * p.a() + p.b() * p.b() + p.c() * p.c() + p.d() * p.d());
+      EXPECT_EQ(v, p.a() * p.b() + p.b() * p.c() + p.c() * p.d() - p.d() * p.a());
+      // The in-place sqrt2 forms against the multiplication they replace.
+      const alg::ZOmega times = alg::ZOmega{p}.timesSqrt2();
+      EXPECT_EQ(times, p * alg::ZOmega::sqrt2());
+      EXPECT_EQ(alg::ZOmega{times}.divideBySqrt2(), p);
+    }
+  }
+}
+
 TEST_P(FuzzSmallPathDifferential, QOmegaCanonicalizationMatchesSpillPath) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 24593 + 29);
   const auto randomRing = [&rng](unsigned bits) {

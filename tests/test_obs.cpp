@@ -6,7 +6,6 @@
 /// intern pool, and the Chrome-trace span tracer.
 #include "algorithms/common.hpp"
 #include "algorithms/grover.hpp"
-#include "algebraic/small_kernels.hpp"
 #include "core/algebraic_system.hpp"
 #include "core/numeric_system.hpp"
 #include "core/package.hpp"
@@ -684,11 +683,8 @@ TEST(Emitters, DeterministicModeZeroesOnlyGcSeconds) {
 }
 
 /// The stats JSON and Prometheus text of a Grover-7 run in a fresh package.
-/// The algebraic small-path tallies are process-wide, so they restart here.
 template <class System>
 std::array<std::string, 2> groverTelemetry(const typename System::Config& config) {
-  alg::detail::smallPathStats().hits = 0;
-  alg::detail::smallPathStats().spills = 0;
   qc::Simulator<System> simulator(algos::grover({7, 0b1011001, 0}), config);
   simulator.run();
   const obs::PackageStats stats = simulator.package().stats();
@@ -724,6 +720,35 @@ TEST(Emitters, CountersDoNotDependOnHeapLayout) {
 
   EXPECT_EQ(groverTelemetry<dd::NumericSystem>(exact), numeric);
   EXPECT_EQ(groverTelemetry<dd::AlgebraicSystem>({}), algebraic);
+}
+
+TEST(Emitters, SmallPathTalliesCountOnlyTheirPackage) {
+  // The ring layer counts in thread-local counters and each algebraic system
+  // adds the delta over its own weight operations: a run reports the same
+  // tallies every time, and another package working on the same thread in
+  // between does not move them.
+  const qc::Circuit circuit = algos::grover({6, 0b101101, 0});
+  const auto tallies = [](const qc::Simulator<dd::AlgebraicSystem>& simulator) {
+    const obs::PackageStats stats = simulator.package().stats();
+    return std::array<std::uint64_t, 2>{stats.weights.smallPathHits,
+                                        stats.weights.smallPathSpills};
+  };
+  qc::Simulator<dd::AlgebraicSystem> alone(circuit);
+  alone.run();
+  const auto expected = tallies(alone);
+  ASSERT_GT(expected[0], 0U);
+
+  qc::Simulator<dd::AlgebraicSystem> interleaved(circuit);
+  qc::Simulator<dd::AlgebraicSystem> other(algos::grover({5, 0b10011, 0}));
+  while (interleaved.step()) {
+    (void)other.step();
+  }
+  other.run();
+  EXPECT_EQ(tallies(interleaved), expected);
+  EXPECT_EQ(tallies(alone), expected); // the later packages left it alone
+  const auto otherTallies = tallies(other);
+  EXPECT_GT(otherTallies[0], 0U);
+  EXPECT_NE(otherTallies, expected);
 }
 
 TEST(Timeline, CsvAndJsonAreWellFormed) {
