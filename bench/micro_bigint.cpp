@@ -89,6 +89,59 @@ void BM_BigIntGcd(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntGcd)->Arg(2)->Arg(8)->Arg(24);
 
+/// Random magnitude of exactly `bits` bits.
+BigInt randomExactBits(std::mt19937_64& rng, int bits) {
+  BigInt value{1};
+  while (value.bitLength() <= static_cast<std::size_t>(bits)) {
+    value = value.shiftLeft(62) + BigInt{static_cast<std::int64_t>(rng() >> 2)};
+  }
+  return value.shiftRight(value.bitLength() - static_cast<std::size_t>(bits));
+}
+
+// Multi-limb series at the widths of the GSE coefficients (128-512 bits),
+// in ns/op; the multiply series continues past the Karatsuba threshold.
+
+void BM_BigIntMulBits(benchmark::State& state) {
+  std::mt19937_64 rng(19);
+  const BigInt a = randomExactBits(rng, static_cast<int>(state.range(0)));
+  const BigInt b = randomExactBits(rng, static_cast<int>(state.range(0)));
+  BigInt product;
+  for (auto _ : state) {
+    product = a;
+    product *= b;
+    benchmark::DoNotOptimize(product);
+  }
+}
+BENCHMARK(BM_BigIntMulBits)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+
+/// A 2w-bit dividend by a w-bit divisor.
+void BM_BigIntDivModBits(benchmark::State& state) {
+  std::mt19937_64 rng(23);
+  const int bits = static_cast<int>(state.range(0));
+  const BigInt a = randomExactBits(rng, 2 * bits);
+  const BigInt b = randomExactBits(rng, bits);
+  BigInt q;
+  BigInt r;
+  for (auto _ : state) {
+    BigInt::divMod(a, b, q, r);
+    benchmark::DoNotOptimize(q);
+  }
+}
+BENCHMARK(BM_BigIntDivModBits)->Arg(128)->Arg(256)->Arg(512);
+
+/// Two w-bit operands with a common 64-bit factor.
+void BM_BigIntGcdBits(benchmark::State& state) {
+  std::mt19937_64 rng(29);
+  const int bits = static_cast<int>(state.range(0));
+  const BigInt g = randomExactBits(rng, 64);
+  const BigInt a = g * randomExactBits(rng, bits - 64);
+  const BigInt b = g * randomExactBits(rng, bits - 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::gcd(a, b));
+  }
+}
+BENCHMARK(BM_BigIntGcdBits)->Arg(128)->Arg(256)->Arg(512);
+
 /// Random Z[omega] value whose four coefficients have `bits`-bit magnitudes
 /// and random signs.
 ZOmega randomWideRing(std::mt19937_64& rng, int bits) {

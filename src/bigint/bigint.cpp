@@ -21,22 +21,24 @@ bool setSmallFastPaths(bool enabled) noexcept {
 
 namespace {
 
-// Number of leading zero bits of a non-zero 32-bit limb.
-int leadingZeros(std::uint32_t x) noexcept {
+using Limb = std::uint64_t;
+using DoubleLimb = unsigned __int128;
+using Limbs = detail::LimbVec;
+
+// Number of leading zero bits of a non-zero limb.
+int leadingZeros(Limb x) noexcept {
   assert(x != 0);
-  return __builtin_clz(x);
+  return __builtin_clzll(x);
 }
 
-int trailingZeros(std::uint32_t x) noexcept {
+int trailingZeros(Limb x) noexcept {
   assert(x != 0);
-  return __builtin_ctz(x);
+  return __builtin_ctzll(x);
 }
 
 /// Shorthand for "the word kernels may run": not disabled by the
 /// differential-testing toggle.
 bool fastPath() noexcept { return detail::smallFastPathsEnabled(); }
-
-using Limbs = detail::LimbVec;
 
 /// Per-thread working buffers of the multi-limb algorithms: Algorithm D's
 /// normalized operands (u, v), Lehmer's cofactor outputs (x, y) and the
@@ -61,39 +63,104 @@ void trimLimbs(Limbs& limbs) noexcept {
   }
 }
 
-void assignU64(Limbs& out, std::uint64_t value) {
+void assignU64(Limbs& out, Limb value) {
   out.clear();
   if (value != 0) {
-    out.push_back(static_cast<std::uint32_t>(value));
-    if ((value >> 32) != 0) {
-      out.push_back(static_cast<std::uint32_t>(value >> 32));
-    }
+    out.push_back(value);
   }
 }
 
-/// out = src << shift (shift < 32), with `extra` more zero limbs on top.
+/// (|value| >> shift) truncated to 64 bits, read straight from the limbs.
+Limb bitsAt(const Limbs& limbs, std::size_t shift) noexcept {
+  const std::size_t index = shift / 64;
+  const unsigned bit = shift % 64;
+  if (index >= limbs.size()) {
+    return 0;
+  }
+  Limb window = limbs[index] >> bit;
+  if (bit != 0 && index + 1 < limbs.size()) {
+    window |= limbs[index + 1] << (64 - bit);
+  }
+  return window;
+}
+
+/// Reciprocal of a normalized divisor (top bit set) for divide2by1:
+/// floor((2^128 - 1) / d) - 2^64.  One wide division per divisor; the
+/// per-limb steps then multiply only.
+Limb reciprocal(Limb d) noexcept {
+  assert((d >> 63) != 0);
+  return static_cast<Limb>(((static_cast<DoubleLimb>(~d) << 64) | ~Limb{0}) / d);
+}
+
+/// floor((u1 * 2^64 + u0) / d) by the precomputed reciprocal v of d, with
+/// the remainder in `remainder` (Moller-Granlund, Algorithm 4).
+/// \pre d normalized, u1 < d
+Limb divide2by1(Limb u1, Limb u0, Limb d, Limb v, Limb& remainder) noexcept {
+  assert(u1 < d);
+  const DoubleLimb estimate =
+      static_cast<DoubleLimb>(v) * u1 + ((static_cast<DoubleLimb>(u1) << 64) | u0);
+  Limb q = static_cast<Limb>(estimate >> 64) + 1;
+  Limb r = u0 - q * d;
+  if (r > static_cast<Limb>(estimate)) {
+    --q;
+    r += d;
+  }
+  if (r >= d) [[unlikely]] {
+    ++q;
+    r -= d;
+  }
+  remainder = r;
+  return q;
+}
+
+/// Divide |a| by the one-limb divisor m: the a.size() quotient limbs go to
+/// `quotient` unless it is null (it may be a.data()), the remainder is
+/// returned.  \pre m != 0
+Limb divModLimb(const Limbs& a, Limb m, Limb* quotient) noexcept {
+  const std::size_t n = a.size();
+  if (n == 0) {
+    return 0;
+  }
+  // Divide a * 2^shift by m * 2^shift: the same quotient, the remainder
+  // scaled by 2^shift.  The shifted limbs are formed on the fly.
+  const unsigned shift = static_cast<unsigned>(leadingZeros(m));
+  const Limb d = m << shift;
+  const Limb v = reciprocal(d);
+  Limb r = shift == 0 ? 0 : a[n - 1] >> (64 - shift);
+  for (std::size_t i = n; i-- > 0;) {
+    const Limb low = shift == 0 || i == 0 ? a[i] << shift
+                                          : (a[i] << shift) | (a[i - 1] >> (64 - shift));
+    const Limb q = divide2by1(r, low, d, v, r);
+    if (quotient != nullptr) {
+      quotient[i] = q;
+    }
+  }
+  return r >> shift;
+}
+
+/// out = src << shift (shift < 64), with `extra` more zero limbs on top.
 void shiftedCopy(const Limbs& src, unsigned shift, std::size_t extra, Limbs& out) {
   out.assign(src.size() + extra, 0);
   if (shift == 0) {
     std::copy(src.begin(), src.end(), out.begin());
     return;
   }
-  std::uint32_t below = 0;
+  Limb below = 0;
   for (std::size_t i = 0; i < src.size(); ++i) {
     out[i] = (src[i] << shift) | below;
-    below = src[i] >> (32 - shift);
+    below = src[i] >> (64 - shift);
   }
   if (extra != 0) {
     out[src.size()] = below;
   }
 }
 
-/// out = src[0..n) >> shift (shift < 32), trimmed.
-void shiftedDownCopy(const std::uint32_t* src, std::size_t n, unsigned shift, Limbs& out) {
+/// out = src[0..n) >> shift (shift < 64), trimmed.
+void shiftedDownCopy(const Limb* src, std::size_t n, unsigned shift, Limbs& out) {
   out.assign(src, src + n);
   if (shift != 0) {
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = (out[i] >> shift) | (i + 1 < n ? out[i + 1] << (32 - shift) : 0);
+      out[i] = (out[i] >> shift) | (i + 1 < n ? out[i + 1] << (64 - shift) : 0);
     }
   }
   trimLimbs(out);
@@ -102,81 +169,70 @@ void shiftedDownCopy(const std::uint32_t* src, std::size_t n, unsigned shift, Li
 /// Knuth's Algorithm D on normalized operands: u has m+n+1 limbs and v has
 /// n >= 2 limbs with the top bit set.  Leaves the normalized remainder in
 /// u[0..n) and writes the m+1 quotient limbs to `quotient` unless it is null.
-void knuthDivide(std::uint32_t* u, std::size_t m, const std::uint32_t* v, std::size_t n,
-                 std::uint32_t* quotient) {
-  using DoubleLimb = std::uint64_t;
-  const DoubleLimb base = static_cast<DoubleLimb>(1) << 32;
+void knuthDivide(Limb* u, std::size_t m, const Limb* v, std::size_t n, Limb* quotient) {
+  const Limb top = v[n - 1];
+  const Limb second = v[n - 2];
+  const Limb inverse = reciprocal(top);
   for (std::size_t j = m + 1; j-- > 0;) {
-    // Estimate q_hat = (u[j+n]*base + u[j+n-1]) / v[n-1], then refine it with
-    // the second divisor limb so it is at most one too large.
-    const DoubleLimb numerator = (static_cast<DoubleLimb>(u[j + n]) << 32) | u[j + n - 1];
-    DoubleLimb qHat;
-    DoubleLimb rHat;
-    if (u[j + n] == v[n - 1]) {
-      qHat = base - 1;
-      rHat = static_cast<DoubleLimb>(u[j + n - 1]) + v[n - 1];
+    // Estimate q_hat = (u[j+n]*B + u[j+n-1]) / v[n-1], then refine it with
+    // the second divisor limb so it is at most one too large.  The window
+    // u[j..j+n] is below B*v, so u[j+n] <= v[n-1].
+    Limb qHat;
+    Limb rHat;
+    bool rHatOverflow = false; // r_hat >= B: the refinement test cannot hold
+    if (u[j + n] == top) {
+      qHat = ~Limb{0};
+      rHat = u[j + n - 1] + top;
+      rHatOverflow = rHat < top;
     } else {
-      qHat = numerator / v[n - 1];
-      rHat = numerator % v[n - 1];
+      qHat = divide2by1(u[j + n], u[j + n - 1], top, inverse, rHat);
     }
-    while (rHat < base &&
-           static_cast<unsigned __int128>(qHat) * v[n - 2] >
-               ((static_cast<unsigned __int128>(rHat) << 32) | u[j + n - 2])) {
+    while (!rHatOverflow && static_cast<DoubleLimb>(qHat) * second >
+                                ((static_cast<DoubleLimb>(rHat) << 64) | u[j + n - 2])) {
       --qHat;
-      rHat += v[n - 1];
+      rHat += top;
+      rHatOverflow = rHat < top;
     }
-    // Multiply-and-subtract: u[j..j+n] -= qHat * v.
-    std::int64_t borrow = 0;
-    DoubleLimb carry = 0;
+    // Multiply-and-subtract: u[j..j+n] -= qHat * v.  The high half of a
+    // product plus the subtraction's borrow never exceeds B - 1.
+    Limb carry = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const DoubleLimb product = qHat * v[i] + carry;
-      carry = product >> 32;
-      std::int64_t diff = static_cast<std::int64_t>(u[j + i]) -
-                          static_cast<std::int64_t>(product & 0xffffffffU) - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(base);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u[j + i] = static_cast<std::uint32_t>(diff);
+      const DoubleLimb product = static_cast<DoubleLimb>(qHat) * v[i] + carry;
+      const auto low = static_cast<Limb>(product);
+      const Limb current = u[j + i];
+      u[j + i] = current - low;
+      carry = static_cast<Limb>(product >> 64) + (current < low ? 1U : 0U);
     }
-    std::int64_t topDiff = static_cast<std::int64_t>(u[j + n]) -
-                           static_cast<std::int64_t>(carry) - borrow;
-    if (topDiff < 0) {
+    const Limb head = u[j + n];
+    u[j + n] = head - carry;
+    if (head < carry) [[unlikely]] {
       // q_hat was one too large: add back.
-      topDiff += static_cast<std::int64_t>(base);
       --qHat;
-      DoubleLimb addCarry = 0;
+      Limb addCarry = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const DoubleLimb sum = static_cast<DoubleLimb>(u[j + i]) + v[i] + addCarry;
-        u[j + i] = static_cast<std::uint32_t>(sum & 0xffffffffU);
-        addCarry = sum >> 32;
+        u[j + i] = static_cast<Limb>(sum);
+        addCarry = static_cast<Limb>(sum >> 64);
       }
-      topDiff += static_cast<std::int64_t>(addCarry);
-      topDiff &= static_cast<std::int64_t>(base) - 1;
+      u[j + n] += addCarry;
     }
-    u[j + n] = static_cast<std::uint32_t>(topDiff);
     if (quotient != nullptr) {
-      quotient[j] = static_cast<std::uint32_t>(qHat);
+      quotient[j] = qHat;
     }
   }
 }
 
-/// |a| mod m in one pass from the top limb. \pre m != 0
-std::uint64_t modU64(const Limbs& a, std::uint64_t m) noexcept {
-  if ((m >> 32) == 0) {
-    std::uint64_t rem = 0;
-    for (std::size_t i = a.size(); i-- > 0;) {
-      rem = ((rem << 32) | a[i]) % m;
-    }
-    return rem;
+/// acc = acc * m + add, in place.
+void mulAddLimb(Limbs& acc, Limb m, Limb add) {
+  Limb carry = add;
+  for (Limb& limb : acc) {
+    const DoubleLimb current = static_cast<DoubleLimb>(limb) * m + carry;
+    limb = static_cast<Limb>(current);
+    carry = static_cast<Limb>(current >> 64);
   }
-  unsigned __int128 rem = 0;
-  for (std::size_t i = a.size(); i-- > 0;) {
-    rem = ((rem << 32) | a[i]) % m;
+  if (carry != 0) {
+    acc.push_back(carry);
   }
-  return static_cast<std::uint64_t>(rem);
 }
 
 std::uint64_t euclidU64(std::uint64_t x, std::uint64_t y) noexcept {
@@ -187,28 +243,23 @@ std::uint64_t euclidU64(std::uint64_t x, std::uint64_t y) noexcept {
   return x;
 }
 
+/// 10^19, the largest power of ten below 2^64: decimal conversion works in
+/// chunks of 19 digits.
+constexpr Limb kDecimalChunk = 10000000000000000000ULL;
+constexpr int kDecimalChunkDigits = 19;
+
 } // namespace
 
 std::uint64_t BigInt::magU64() const noexcept {
   assert(magFitsU64());
-  switch (limbs_.size()) {
-  case 0:
-    return 0;
-  case 1:
-    return limbs_[0];
-  default:
-    return static_cast<std::uint64_t>(limbs_[1]) << 32 | limbs_[0];
-  }
+  return limbs_.empty() ? 0 : limbs_[0];
 }
 
 void BigInt::setMagU64(std::uint64_t magnitude, bool negative) {
   limbs_.clear();
   limbs_.inlineIfSmall();
   if (magnitude != 0) {
-    limbs_.push_back(static_cast<Limb>(magnitude & 0xffffffffU));
-    if ((magnitude >> 32) != 0) {
-      limbs_.push_back(static_cast<Limb>(magnitude >> 32));
-    }
+    limbs_.push_back(magnitude);
   }
   negative_ = negative && magnitude != 0;
 }
@@ -219,15 +270,10 @@ void BigInt::setMagU128(unsigned __int128 magnitude, bool negative) {
     setMagU64(static_cast<std::uint64_t>(magnitude), negative);
     return;
   }
-  const auto low = static_cast<std::uint64_t>(magnitude);
   limbs_.clear();
-  limbs_.reserve(4);
-  limbs_.push_back(static_cast<Limb>(low & 0xffffffffU));
-  limbs_.push_back(static_cast<Limb>(low >> 32));
-  limbs_.push_back(static_cast<Limb>(high & 0xffffffffU));
-  if ((high >> 32) != 0) {
-    limbs_.push_back(static_cast<Limb>(high >> 32));
-  }
+  limbs_.inlineIfSmall();
+  limbs_.push_back(static_cast<std::uint64_t>(magnitude));
+  limbs_.push_back(high);
   negative_ = negative;
 }
 
@@ -256,17 +302,26 @@ BigInt::BigInt(std::string_view decimal) {
   if (pos == decimal.size()) {
     throw std::invalid_argument("BigInt: empty decimal string");
   }
-  BigInt accumulator;
-  const BigInt ten{10};
-  for (; pos < decimal.size(); ++pos) {
-    const char c = decimal[pos];
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument("BigInt: invalid decimal digit");
-    }
-    accumulator *= ten;
-    accumulator += BigInt{c - '0'};
+  // Chunks of up to 19 digits, the first one short so the rest are full:
+  // value = value * 10^digits + chunk.
+  std::size_t chunkDigits = (decimal.size() - pos) % kDecimalChunkDigits;
+  if (chunkDigits == 0) {
+    chunkDigits = kDecimalChunkDigits;
   }
-  limbs_ = std::move(accumulator.limbs_);
+  for (; pos < decimal.size(); pos += chunkDigits, chunkDigits = kDecimalChunkDigits) {
+    Limb chunk = 0;
+    Limb scale = 1;
+    for (std::size_t i = pos; i < pos + chunkDigits; ++i) {
+      const char c = decimal[i];
+      if (c < '0' || c > '9') {
+        throw std::invalid_argument("BigInt: invalid decimal digit");
+      }
+      chunk = chunk * 10 + static_cast<Limb>(c - '0');
+      scale *= 10;
+    }
+    mulAddLimb(limbs_, scale, chunk);
+  }
+  limbs_.inlineIfSmall();
   negative_ = negative && !limbs_.empty();
 }
 
@@ -290,15 +345,12 @@ bool BigInt::fitsInt64() const noexcept {
     return false;
   }
   // Exactly 64 bits of magnitude: only INT64_MIN fits.
-  return negative_ && limbs_[0] == 0 && limbs_[1] == 0x80000000U;
+  return negative_ && limbs_[0] == (std::uint64_t{1} << 63);
 }
 
 std::int64_t BigInt::toInt64() const {
   assert(fitsInt64());
-  std::uint64_t magnitude = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    magnitude = (magnitude << 32) | limbs_[i];
-  }
+  const std::uint64_t magnitude = magU64();
   return negative_ ? static_cast<std::int64_t>(~magnitude + 1U)
                    : static_cast<std::int64_t>(magnitude);
 }
@@ -315,13 +367,9 @@ double BigInt::toDoubleScaled(long& exponent2) const noexcept {
     return 0.0;
   }
   const std::size_t bits = bitLength();
-  // Keep only the top (up to) 64 bits: value ~= top * 2^(bits - taken).
+  // Keep only the top (up to) 64 bits, truncated: value ~= top * 2^(bits - taken).
   const std::size_t taken = std::min<std::size_t>(bits, 64);
-  const BigInt head = shiftRight(bits - taken);
-  std::uint64_t top = 0;
-  for (std::size_t i = head.limbs_.size(); i-- > 0;) {
-    top = (top << 32) | head.limbs_[i];
-  }
+  const std::uint64_t top = bitsAt(limbs_, bits - taken);
   // top < 2^taken, top >= 2^(taken-1)  ->  mantissa in [0.5, 1).  (Rounding of
   // a 64-bit `top` to double can land exactly on 1.0; renormalize then.)
   double mantissa = std::ldexp(static_cast<double>(top), -static_cast<int>(taken));
@@ -337,20 +385,13 @@ std::string BigInt::toString() const {
   if (isZero()) {
     return "0";
   }
-  // Repeated division by 10^9 to peel off 9 decimal digits at a time.
+  // Repeated division by 10^19 peels off 19 decimal digits at a time.
   LimbVec work = limbs_;
   std::string digits;
   while (!work.empty()) {
-    DoubleLimb remainder = 0;
-    for (std::size_t i = work.size(); i-- > 0;) {
-      const DoubleLimb current = (remainder << 32) | work[i];
-      work[i] = static_cast<Limb>(current / 1000000000U);
-      remainder = current % 1000000000U;
-    }
-    while (!work.empty() && work.back() == 0) {
-      work.pop_back();
-    }
-    for (int d = 0; d < 9; ++d) {
+    Limb remainder = divModLimb(work, kDecimalChunk, work.data());
+    trimLimbs(work);
+    for (int d = 0; d < kDecimalChunkDigits; ++d) {
       digits.push_back(static_cast<char>('0' + remainder % 10));
       remainder /= 10;
     }
@@ -366,10 +407,11 @@ std::string BigInt::toString() const {
 }
 
 void BigInt::toBytes(std::vector<std::uint8_t>& out) const {
+  constexpr std::size_t kLimbBytes = sizeof(Limb);
   // Magnitude byte count without the trailing zero bytes of the top limb.
   std::size_t byteCount = 0;
   if (!limbs_.empty()) {
-    byteCount = (limbs_.size() - 1) * 4;
+    byteCount = (limbs_.size() - 1) * kLimbBytes;
     for (Limb top = limbs_.back(); top != 0; top >>= 8U) {
       ++byteCount;
     }
@@ -384,7 +426,7 @@ void BigInt::toBytes(std::vector<std::uint8_t>& out) const {
   out.push_back(static_cast<std::uint8_t>(header));
   // Little-endian magnitude bytes straight from the little-endian limbs.
   for (std::size_t i = 0; i < byteCount; ++i) {
-    out.push_back(static_cast<std::uint8_t>(limbs_[i / 4] >> (8U * (i % 4))));
+    out.push_back(static_cast<std::uint8_t>(limbs_[i / kLimbBytes] >> (8U * (i % kLimbBytes))));
   }
 }
 
@@ -418,10 +460,12 @@ BigInt BigInt::fromBytes(std::span<const std::uint8_t> bytes, std::size_t& offse
   if (byteCount != 0 && bytes[offset + byteCount - 1] == 0) {
     throw std::invalid_argument("BigInt::fromBytes: non-minimal magnitude encoding");
   }
+  constexpr std::size_t kLimbBytes = sizeof(Limb);
   BigInt result;
-  result.limbs_.assign((byteCount + 3) / 4, 0);
+  result.limbs_.assign((byteCount + kLimbBytes - 1) / kLimbBytes, 0);
   for (std::size_t i = 0; i < byteCount; ++i) {
-    result.limbs_[i / 4] |= static_cast<Limb>(bytes[offset + i]) << (8U * (i % 4));
+    result.limbs_[i / kLimbBytes] |= static_cast<Limb>(bytes[offset + i])
+                                     << (8U * (i % kLimbBytes));
   }
   offset += byteCount;
   result.negative_ = negative;
@@ -482,38 +526,36 @@ void BigInt::addInto(LimbVec& acc, const Limb* p, std::size_t n) {
     acc.resize(n);
   }
   Limb* out = acc.data();
-  DoubleLimb carry = 0;
+  Limb carry = 0;
   std::size_t i = 0;
   for (; i < n; ++i) {
     const DoubleLimb sum = static_cast<DoubleLimb>(out[i]) + p[i] + carry;
     out[i] = static_cast<Limb>(sum);
-    carry = sum >> 32;
+    carry = static_cast<Limb>(sum >> 64);
   }
   for (; carry != 0 && i < acc.size(); ++i) {
-    const DoubleLimb sum = static_cast<DoubleLimb>(out[i]) + carry;
-    out[i] = static_cast<Limb>(sum);
-    carry = sum >> 32;
+    out[i] += carry;
+    carry = out[i] == 0 ? 1U : 0U;
   }
   if (carry != 0) {
-    acc.push_back(static_cast<Limb>(carry));
+    acc.push_back(carry);
   }
 }
 
 void BigInt::subInto(LimbVec& acc, const Limb* p, std::size_t n) {
   assert(compareMagnitude(acc.data(), acc.size(), p, n) >= 0);
   Limb* out = acc.data();
-  // A negative 64-bit difference wraps with bit 32 set: that bit is the borrow.
-  DoubleLimb borrow = 0;
+  Limb borrow = 0;
   std::size_t i = 0;
   for (; i < n; ++i) {
-    const DoubleLimb diff = static_cast<DoubleLimb>(out[i]) - p[i] - borrow;
-    out[i] = static_cast<Limb>(diff);
-    borrow = (diff >> 32) & 1U;
+    const Limb current = out[i];
+    const Limb diff = current - p[i];
+    out[i] = diff - borrow;
+    borrow = (current < p[i] || diff < borrow) ? 1U : 0U;
   }
   for (; borrow != 0; ++i) { // |acc| >= |p| stops the ripple inside acc
-    const DoubleLimb diff = static_cast<DoubleLimb>(out[i]) - borrow;
-    out[i] = static_cast<Limb>(diff);
-    borrow = (diff >> 32) & 1U;
+    borrow = out[i] == 0 ? 1U : 0U;
+    --out[i];
   }
   trimLimbs(acc);
 }
@@ -522,11 +564,12 @@ void BigInt::subFrom(LimbVec& acc, const Limb* p, std::size_t n) {
   assert(compareMagnitude(p, n, acc.data(), acc.size()) >= 0);
   acc.resize(n);
   Limb* out = acc.data();
-  DoubleLimb borrow = 0;
+  Limb borrow = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const DoubleLimb diff = static_cast<DoubleLimb>(p[i]) - out[i] - borrow;
-    out[i] = static_cast<Limb>(diff);
-    borrow = (diff >> 32) & 1U;
+    const Limb subtrahend = out[i];
+    const Limb diff = p[i] - subtrahend;
+    out[i] = diff - borrow;
+    borrow = (p[i] < subtrahend || diff < borrow) ? 1U : 0U;
   }
   assert(borrow == 0);
   trimLimbs(acc);
@@ -538,17 +581,32 @@ void BigInt::mulSchoolbook(const LimbVec& a, const LimbVec& b, LimbVec& out) {
     out.clear();
     return;
   }
-  out.assign(a.size() + b.size(), 0);
+  // Rows over the shorter operand, each a pass over the longer one.
+  const LimbVec& rows = a.size() <= b.size() ? a : b;
+  const LimbVec& cols = a.size() <= b.size() ? b : a;
+  const std::size_t n = cols.size();
+  out.resizeForOverwrite(rows.size() + n);
   Limb* result = out.data();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    DoubleLimb carry = 0;
-    const DoubleLimb ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      const DoubleLimb current = ai * b[j] + result[i + j] + carry;
-      result[i + j] = static_cast<Limb>(current & 0xffffffffU);
-      carry = current >> 32;
+  const Limb* col = cols.data();
+  // The first row writes, the others accumulate: a * b + r + carry stays
+  // below 2^128.
+  Limb carry = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const DoubleLimb current = static_cast<DoubleLimb>(rows[0]) * col[j] + carry;
+    result[j] = static_cast<Limb>(current);
+    carry = static_cast<Limb>(current >> 64);
+  }
+  result[n] = carry;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const Limb row = rows[i];
+    Limb* acc = result + i;
+    carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const DoubleLimb current = static_cast<DoubleLimb>(row) * col[j] + acc[j] + carry;
+      acc[j] = static_cast<Limb>(current);
+      carry = static_cast<Limb>(current >> 64);
     }
-    result[i + b.size()] = static_cast<Limb>(carry);
+    acc[n] = carry;
   }
   trimLimbs(out);
 }
@@ -580,20 +638,20 @@ void BigInt::mulMagnitude(const LimbVec& a, const LimbVec& b, LimbVec& out) {
   subInto(z1, z0.data(), z0.size());
   subInto(z1, z2.data(), z2.size());
 
-  // out = z0 + z1 << (32*half) + z2 << (64*half)
+  // out = z0 + z1 << (64*half) + z2 << (128*half)
   out.assign(std::max({z0.size(), z1.size() + half, z2.size() + 2 * half}) + 1, 0);
   const auto accumulate = [&out](const LimbVec& part, std::size_t offset) {
-    DoubleLimb carry = 0;
+    Limb* target = out.data() + offset;
+    Limb carry = 0;
     std::size_t i = 0;
     for (; i < part.size(); ++i) {
-      const DoubleLimb current = static_cast<DoubleLimb>(out[offset + i]) + part[i] + carry;
-      out[offset + i] = static_cast<Limb>(current & 0xffffffffU);
-      carry = current >> 32;
+      const DoubleLimb current = static_cast<DoubleLimb>(target[i]) + part[i] + carry;
+      target[i] = static_cast<Limb>(current);
+      carry = static_cast<Limb>(current >> 64);
     }
     for (; carry != 0; ++i) {
-      const DoubleLimb current = static_cast<DoubleLimb>(out[offset + i]) + carry;
-      out[offset + i] = static_cast<Limb>(current & 0xffffffffU);
-      carry = current >> 32;
+      target[i] += carry;
+      carry = target[i] == 0 ? 1U : 0U;
     }
   };
   accumulate(z0, 0);
@@ -625,7 +683,7 @@ BigInt& BigInt::operator+=(const BigInt& rhs) {
     const std::uint64_t x = magU64();
     const std::uint64_t y = rhs.magU64();
     if (negative_ == rhs.negative_) {
-      // Same sign: magnitudes add; a 65-bit carry spills to three limbs.
+      // Same sign: magnitudes add; a 65-bit sum takes the second inline limb.
       setMagU128(static_cast<unsigned __int128>(x) + y, negative_);
     } else if (x >= y) {
       setMagU64(x - y, negative_);
@@ -658,8 +716,8 @@ BigInt& BigInt::operator-=(const BigInt& rhs) {
 
 BigInt& BigInt::operator*=(const BigInt& rhs) {
   if (fastPath() && magFitsU64() && rhs.magFitsU64()) {
-    // One hardware 64x64 -> 128 multiply replaces the schoolbook limb loop;
-    // products past 64 bits spill to up to four limbs.
+    // One hardware 64x64 -> 128 multiply; a product past 64 bits takes the
+    // second inline limb.
     const unsigned __int128 product =
         static_cast<unsigned __int128>(magU64()) * rhs.magU64();
     setMagU128(product, negative_ != rhs.negative_);
@@ -691,13 +749,9 @@ BigInt& BigInt::accumulateProduct(const BigInt& x, const BigInt& y, bool subtrac
   }
   const bool negative = (x.negative_ != y.negative_) != subtract;
   if (fastPath() && x.magFitsU64() && y.magFitsU64()) {
-    unsigned __int128 product = static_cast<unsigned __int128>(x.magU64()) * y.magU64();
-    Limb limbs[4];
-    std::size_t n = 0;
-    for (; product != 0; product >>= 32) {
-      limbs[n++] = static_cast<Limb>(product);
-    }
-    addSigned(limbs, n, negative);
+    const DoubleLimb product = static_cast<DoubleLimb>(x.magU64()) * y.magU64();
+    const Limb limbs[2] = {static_cast<Limb>(product), static_cast<Limb>(product >> 64)};
+    addSigned(limbs, limbs[1] != 0 ? 2 : 1, negative);
     return *this;
   }
   // The product is complete before the accumulator changes, so x or y may be
@@ -719,17 +773,9 @@ void BigInt::divModMagnitude(const LimbVec& a, const LimbVec& b,
   }
   if (b.size() == 1) {
     // Short division.
-    quotient.assign(a.size(), 0);
-    DoubleLimb rem = 0;
-    for (std::size_t i = a.size(); i-- > 0;) {
-      const DoubleLimb current = (rem << 32) | a[i];
-      quotient[i] = static_cast<Limb>(current / b[0]);
-      rem = current % b[0];
-    }
+    quotient.resizeForOverwrite(a.size());
+    assignU64(remainder, divModLimb(a, b[0], quotient.data()));
     trimLimbs(quotient);
-    if (rem != 0) {
-      remainder.push_back(static_cast<Limb>(rem));
-    }
     return;
   }
   const unsigned shift = static_cast<unsigned>(leadingZeros(b.back()));
@@ -750,9 +796,8 @@ void BigInt::remMagnitude(const LimbVec& a, const LimbVec& b, LimbVec& remainder
     remainder = a;
     return;
   }
-  if (b.size() <= 2) {
-    assignU64(remainder, modU64(a, b.size() == 1 ? b[0]
-                                                 : static_cast<std::uint64_t>(b[1]) << 32 | b[0]));
+  if (b.size() == 1) {
+    assignU64(remainder, divModLimb(a, b[0], nullptr));
     return;
   }
   const unsigned shift = static_cast<unsigned>(leadingZeros(b.back()));
@@ -811,10 +856,10 @@ BigInt& BigInt::divExact(const BigInt& divisor) {
   assert(limbs_.size() >= n);
   const std::size_t quotientSize = limbs_.size() - n + 1;
   const Limb* d = divisor.limbs_.data();
-  // Inverse of the odd low limb modulo 2^32 by Newton's iteration: d*d == 1
+  // Inverse of the odd low limb modulo 2^64 by Newton's iteration: d*d == 1
   // (mod 8) gives 3 correct bits, and each step doubles them.
   Limb inverse = d[0];
-  for (int step = 0; step < 4; ++step) {
+  for (int step = 0; step < 5; ++step) {
     inverse *= 2U - d[0] * inverse;
   }
   // Right to left: quotient limb i is the one that clears limb i.  Only the
@@ -823,19 +868,18 @@ BigInt& BigInt::divExact(const BigInt& divisor) {
   for (std::size_t i = 0; i < quotientSize; ++i) {
     const Limb q = u[i] * inverse;
     const std::size_t span = std::min(n, quotientSize - i);
-    DoubleLimb borrow = 0; // carry of q*d plus the subtraction's borrow
+    Limb borrow = 0; // high half of q*d plus the subtraction's borrow
     for (std::size_t j = 0; j < span; ++j) {
       const DoubleLimb product = static_cast<DoubleLimb>(q) * d[j] + borrow;
       const auto low = static_cast<Limb>(product);
       const Limb current = u[i + j];
       u[i + j] = current - low;
-      borrow = (product >> 32) + (current < low ? 1U : 0U);
+      borrow = static_cast<Limb>(product >> 64) + (current < low ? 1U : 0U);
     }
     for (std::size_t k = i + span; borrow != 0 && k < quotientSize; ++k) {
-      const auto low = static_cast<Limb>(borrow);
       const Limb current = u[k];
-      u[k] = current - low;
-      borrow = (borrow >> 32) + (current < low ? 1U : 0U);
+      u[k] = current - borrow;
+      borrow = current < borrow ? 1U : 0U;
     }
     assert(u[i] == 0);
     u[i] = q;
@@ -908,8 +952,8 @@ BigInt BigInt::shiftLeft(std::size_t bits) const {
   result.limbs_.assign(limbs_.size() + limbShift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
     const DoubleLimb shifted = static_cast<DoubleLimb>(limbs_[i]) << bitShift;
-    result.limbs_[i + limbShift] |= static_cast<Limb>(shifted & 0xffffffffU);
-    result.limbs_[i + limbShift + 1] |= static_cast<Limb>(shifted >> 32);
+    result.limbs_[i + limbShift] |= static_cast<Limb>(shifted);
+    result.limbs_[i + limbShift + 1] |= static_cast<Limb>(shifted >> 64);
   }
   result.trim();
   return result;
@@ -955,73 +999,60 @@ std::size_t BigInt::countTrailingZeroBits() const {
 
 namespace {
 
-/// (value >> shift) truncated to 64 bits; `shift` must leave at most 63
-/// significant bits, which the Lehmer caller guarantees.  Reads straight from
-/// the limb array — no temporary BigInt.
-std::uint64_t topWindow(const qadd::detail::LimbVec& limbs, std::size_t shift) noexcept {
-  const std::size_t limbIndex = shift / 32;
-  const std::size_t bitIndex = shift % 32;
-  unsigned __int128 window = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    if (limbIndex + i < limbs.size()) {
-      window |= static_cast<unsigned __int128>(limbs[limbIndex + i]) << (32 * i);
+/// out = |p*a - q*b| in one pass with two carries and a borrow; p, q < 2^63.
+/// \pre a.size() >= b.size()
+void combineRow(const Limbs& a, const Limbs& b, Limb p, Limb q, Limbs& out) {
+  const std::size_t n = a.size();
+  out.resizeForOverwrite(n + 1);
+  Limb* o = out.data();
+  Limb carryP = 0;
+  Limb carryQ = 0; // carry of q*b plus the subtraction's borrow
+  const auto step = [&](std::size_t i, Limb bi) {
+    const DoubleLimb x = static_cast<DoubleLimb>(p) * a[i] + carryP;
+    const DoubleLimb y = static_cast<DoubleLimb>(q) * bi + carryQ;
+    const auto xLow = static_cast<Limb>(x);
+    const auto yLow = static_cast<Limb>(y);
+    o[i] = xLow - yLow;
+    carryP = static_cast<Limb>(x >> 64);
+    carryQ = static_cast<Limb>(y >> 64) + (xLow < yLow ? 1U : 0U);
+  };
+  std::size_t i = 0;
+  for (; i < b.size(); ++i) {
+    step(i, b[i]);
+  }
+  for (; i < n; ++i) {
+    step(i, 0);
+  }
+  // Both carries are below 2^63, so the top limb's sign bit is the sign of
+  // the whole two's-complement difference; negate it to the magnitude.
+  o[n] = carryP - carryQ;
+  if ((o[n] >> 63) != 0) {
+    Limb increment = 1;
+    for (i = 0; i <= n; ++i) {
+      o[i] = ~o[i] + increment;
+      increment = increment != 0 && o[i] == 0 ? 1U : 0U;
     }
   }
-  return static_cast<std::uint64_t>(window >> bitIndex);
+  trimLimbs(out);
 }
 
-/// Flush a signed running carry into `out` and leave the magnitude of the
-/// sum there: the limbs so far plus carry * 2^(32 size) is the exact value,
-/// so a final carry of -1 means the limbs hold its two's complement.
-void finishSignedSum(qadd::detail::LimbVec& out, __int128 carry) {
-  while (carry != 0 && carry != -1) {
-    out.push_back(static_cast<std::uint32_t>(carry));
-    carry >>= 32;
-  }
-  if (carry == -1) {
-    std::uint64_t increment = 1;
-    for (std::uint32_t& limb : out) {
-      const std::uint64_t next = static_cast<std::uint64_t>(~limb) + increment;
-      limb = static_cast<std::uint32_t>(next);
-      increment = next >> 32;
-    }
-    if (increment != 0) {
-      out.push_back(1);
-    }
-  }
-  while (!out.empty() && out.back() == 0) {
-    out.pop_back();
-  }
-}
-
-/// Lehmer's cofactor step in one signed-carry pass over the limbs:
+/// Lehmer's cofactor step:
 ///   outX = |mA*a + mB*b|  and  outY = |mC*a + mD*b|.
+/// The cofactor rows of Euclid's continuants alternate in sign (mA*mB <= 0,
+/// mC*mD <= 0), so each row is a difference of two non-negative products.
 /// The outputs are per-thread scratch reused across rounds and calls, so a
 /// round allocates nothing once they have grown to the operands' size.
-/// |cofactors| <= 2^62 keeps every running sum below 2^96.
-/// \pre a.size() >= b.size()
-void lehmerCombine(const qadd::detail::LimbVec& a, const qadd::detail::LimbVec& b,
-                   std::int64_t mA, std::int64_t mB, std::int64_t mC, std::int64_t mD,
-                   qadd::detail::LimbVec& outX, qadd::detail::LimbVec& outY) {
+/// \pre a.size() >= b.size(), |cofactors| <= 2^62
+void lehmerCombine(const Limbs& a, const Limbs& b, std::int64_t mA, std::int64_t mB,
+                   std::int64_t mC, std::int64_t mD, Limbs& outX, Limbs& outY) {
   assert(a.size() >= b.size());
-  outX.clear();
-  outY.clear();
-  outX.reserve(a.size() + 3);
-  outY.reserve(a.size() + 3);
-  __int128 carryX = 0;
-  __int128 carryY = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const __int128 ai = a[i];
-    const __int128 bi = i < b.size() ? b[i] : 0;
-    carryX += mA * ai + mB * bi;
-    carryY += mC * ai + mD * bi;
-    outX.push_back(static_cast<std::uint32_t>(carryX));
-    outY.push_back(static_cast<std::uint32_t>(carryY));
-    carryX >>= 32;
-    carryY >>= 32;
-  }
-  finishSignedSum(outX, carryX);
-  finishSignedSum(outY, carryY);
+  assert((mA <= 0 || mB <= 0) && (mA >= 0 || mB >= 0));
+  assert((mC <= 0 || mD <= 0) && (mC >= 0 || mD >= 0));
+  const auto magnitude = [](std::int64_t m) {
+    return m < 0 ? ~static_cast<Limb>(m) + 1U : static_cast<Limb>(m);
+  };
+  combineRow(a, b, magnitude(mA), magnitude(mB), outX);
+  combineRow(a, b, magnitude(mC), magnitude(mD), outY);
 }
 
 } // namespace
@@ -1049,7 +1080,7 @@ BigInt BigInt::gcd(BigInt a, const BigInt& b) {
   }
   if (a.magFitsU64()) {
     const std::uint64_t x = a.magU64();
-    a.setMagU64(euclidU64(x, modU64(b.limbs_, x)), false);
+    a.setMagU64(euclidU64(x, divModLimb(b.limbs_, x, nullptr)), false);
     return a;
   }
   BigInt c;
@@ -1069,17 +1100,17 @@ BigInt BigInt::gcd(BigInt a, const BigInt& b) {
       return a;
     }
     if (c.magFitsU64()) {
-      // One 128-bit pass brings a below 2^64; hardware Euclid finishes.
+      // One reciprocal pass brings a below 2^64; hardware Euclid finishes.
       const std::uint64_t y = c.magU64();
-      a.setMagU64(euclidU64(y, modU64(a.limbs_, y)), false);
+      a.setMagU64(euclidU64(y, divModLimb(a.limbs_, y, nullptr)), false);
       return a;
     }
     const std::size_t bits = a.bitLength();
     // 62 bits, not 63: the window plus a cofactor (|m| <= 2^62) must stay
     // inside int64.
     const std::size_t shift = bits > 62 ? bits - 62 : 0;
-    std::int64_t xh = static_cast<std::int64_t>(topWindow(a.limbs_, shift));
-    std::int64_t yh = static_cast<std::int64_t>(topWindow(c.limbs_, shift));
+    std::int64_t xh = static_cast<std::int64_t>(bitsAt(a.limbs_, shift));
+    std::int64_t yh = static_cast<std::int64_t>(bitsAt(c.limbs_, shift));
     std::int64_t mA = 1;
     std::int64_t mB = 0;
     std::int64_t mC = 0;
@@ -1144,7 +1175,8 @@ std::strong_ordering operator<=>(const BigInt& lhs, const BigInt& rhs) noexcept 
 std::size_t BigInt::hash() const noexcept {
   std::size_t h = negative_ ? 0x9e3779b97f4a7c15ULL : 0x2545f4914f6cdd1dULL;
   for (const Limb limb : limbs_) {
-    h ^= limb + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h = (h ^ limb) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
   }
   return h;
 }

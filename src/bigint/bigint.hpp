@@ -4,37 +4,47 @@
 /// This is the repository's replacement for GMP (which the paper uses for the
 /// integer coefficients of its algebraic number representation).  The design
 /// is a classic sign-magnitude big integer: the magnitude is a little-endian
-/// sequence of 32-bit limbs, and multiplication switches to Karatsuba above a
-/// threshold.
+/// sequence of 64-bit limbs (GMP's limb width on 64-bit hosts), every
+/// multi-limb kernel works on 64x64 -> 128-bit products, and multiplication
+/// switches to Karatsuba above a threshold.
 ///
 /// Division comes in three forms, each doing no more work than its caller
-/// needs:
+/// needs, and none of them issues a hardware 128-by-64 divide per limb:
 ///  - divMod (and /, %, divRound) is Knuth's Algorithm D: normalize so the
 ///    divisor's top bit is set, estimate each quotient limb from the top two
-///    limbs, correct it at most twice, multiply-and-subtract.
+///    limbs by a 2-by-1 division with a reciprocal of the divisor's top limb
+///    computed once per division (Moller-Granlund, "Improved division by
+///    invariant integers", IEEE TC 2011), correct it at most twice with the
+///    second limb, multiply-and-subtract, add back in the rare overshoot.
+///    One-limb divisors, remainders mod a word and the decimal conversion run
+///    the same reciprocal step over the limbs.
 ///  - divExact divides by an odd divisor known to divide the value, right to
 ///    left (Hensel/Jebelean): each quotient limb is the low limb times the
-///    divisor's inverse mod 2^32, so there is no normalization shift, no
-///    estimate to correct and no remainder.  It works in the value's own limbs.
-///    QOmega's canonicalization uses it to cancel odd content.
+///    divisor's inverse mod 2^64 (found by Newton's iteration), so there is
+///    no normalization shift, no estimate to correct and no remainder.  It
+///    works in the value's own limbs.  QOmega's canonicalization uses it to
+///    cancel odd content.
 ///  - gcd reduces with Lehmer's algorithm and, where a window carries no
 ///    quotient, with remainder-only steps: Algorithm D without the quotient
-///    into per-thread scratch, or one 128-bit pass when the smaller operand
-///    fits in 64 bits, after which hardware Euclid finishes.
+///    into per-thread scratch, or one reciprocal pass when the smaller
+///    operand fits in one limb, after which hardware Euclid finishes.
 ///
 /// Storage is small-size optimized: magnitudes of up to two limbs — i.e.
-/// |value| < 2^64, the overwhelmingly common case for the Q[omega]
-/// coefficients of Clifford+T workloads — live inline in the object with no
-/// heap allocation; larger magnitudes spill to a heap buffer.  The multi-limb
-/// algorithms work in place where the result fits (+=, -=, addMul/subMul,
-/// divExact) and keep their temporaries (Algorithm D's normalized operands,
-/// Lehmer's cofactor outputs, a product) in per-thread scratch buffers that
-/// only grow, so a spilled operation allocates at most its result.
-/// On top of the storage layout, the arithmetic operators take single-word
-/// (u64/u128) fast paths for small operands and fall back to the general
-/// limb-vector algorithms on overflow.  detail::setSmallFastPaths(false)
-/// routes every operand through the general algorithms instead (the
-/// differential oracle the fuzzer uses); results are identical either way.
+/// |value| < 2^128, which covers the Q[omega] coefficients of Clifford+T
+/// workloads and most intermediate products of wider ones — live inline in
+/// the 24-byte object with no heap allocation; larger magnitudes spill to a
+/// heap buffer.  The multi-limb algorithms work in place where the result
+/// fits (+=, -=, addMul/subMul, divExact) and keep their temporaries
+/// (Algorithm D's normalized operands, Lehmer's cofactor outputs, a product)
+/// in per-thread scratch buffers that only grow, so a spilled operation
+/// allocates at most its result.
+///
+/// The arithmetic operators take single-word (u64/u128) fast paths for
+/// operands below 2^64 and fall back to the general limb-vector algorithms
+/// otherwise; that boundary is one of magnitude, not of storage.
+/// detail::setSmallFastPaths(false) routes every operand through the general
+/// algorithms instead (the differential oracle the fuzzer uses); results are
+/// identical either way.
 ///
 /// The class is a regular value type: copyable, movable, totally ordered,
 /// hashable, and streamable.  All operations are exact.
@@ -64,12 +74,14 @@ bool setSmallFastPaths(bool enabled) noexcept;
 extern bool gSmallFastPaths; ///< use smallFastPathsEnabled(), not this
 [[nodiscard]] inline bool smallFastPathsEnabled() noexcept { return gSmallFastPaths; }
 
-/// Small-size-optimized limb buffer: up to kInlineLimbs 32-bit limbs inline,
-/// larger magnitudes in a heap array.  Deliberately minimal — exactly the
-/// std::vector surface the BigInt algorithms use.
+/// Small-size-optimized limb buffer: up to kInlineLimbs 64-bit limbs inline,
+/// larger magnitudes in a heap array whose capacity shares the inline bytes.
+/// Deliberately minimal — exactly the std::vector surface the BigInt
+/// algorithms use.  24 bytes, of which the last three are tail padding that
+/// BigInt's sign flag occupies.
 class LimbVec {
 public:
-  using value_type = std::uint32_t;
+  using value_type = std::uint64_t;
   static constexpr std::size_t kInlineLimbs = 2;
 
   LimbVec() noexcept : storage_{} {}
@@ -79,9 +91,9 @@ public:
     assign(other.data(), other.data() + other.size_);
   }
   LimbVec(LimbVec&& other) noexcept
-      : storage_(other.storage_), size_(other.size_), capacity_(other.capacity_) {
+      : storage_(other.storage_), size_(other.size_), heap_(other.heap_) {
     other.size_ = 0;
-    other.capacity_ = kInlineLimbs;
+    other.heap_ = false;
   }
   LimbVec& operator=(const LimbVec& other) {
     if (this != &other) {
@@ -91,34 +103,30 @@ public:
   }
   LimbVec& operator=(LimbVec&& other) noexcept {
     if (this != &other) {
-      if (isHeap()) {
-        delete[] storage_.heap;
-      }
+      release();
       storage_ = other.storage_;
       size_ = other.size_;
-      capacity_ = other.capacity_;
+      heap_ = other.heap_;
       other.size_ = 0;
-      other.capacity_ = kInlineLimbs;
+      other.heap_ = false;
     }
     return *this;
   }
-  ~LimbVec() {
-    if (isHeap()) {
-      delete[] storage_.heap;
-    }
-  }
+  ~LimbVec() { release(); }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return heap_ ? storage_.heap.capacity : kInlineLimbs;
+  }
   /// True iff the limbs live inside the object (no heap buffer).
-  [[nodiscard]] bool isInline() const noexcept { return !isHeap(); }
+  [[nodiscard]] bool isInline() const noexcept { return !heap_; }
 
   [[nodiscard]] value_type* data() noexcept {
-    return isHeap() ? storage_.heap : storage_.inlineLimbs;
+    return heap_ ? storage_.heap.limbs : storage_.inlineLimbs;
   }
   [[nodiscard]] const value_type* data() const noexcept {
-    return isHeap() ? storage_.heap : storage_.inlineLimbs;
+    return heap_ ? storage_.heap.limbs : storage_.inlineLimbs;
   }
   [[nodiscard]] value_type* begin() noexcept { return data(); }
   [[nodiscard]] const value_type* begin() const noexcept { return data(); }
@@ -134,23 +142,23 @@ public:
   /// Move limbs that fit inline off the heap buffer and free it, so a value
   /// that shrank in place is stored like a freshly built one.
   void inlineIfSmall() noexcept {
-    if (isHeap() && size_ <= kInlineLimbs) {
-      value_type* heap = storage_.heap;
+    if (heap_ && size_ <= kInlineLimbs) {
+      value_type* heap = storage_.heap.limbs;
       std::memcpy(storage_.inlineLimbs, heap, size_ * sizeof(value_type));
       delete[] heap;
-      capacity_ = kInlineLimbs;
+      heap_ = false;
     }
   }
   void pop_back() noexcept { --size_; }
   void push_back(value_type value) {
-    if (size_ == capacity_) {
+    if (size_ == capacity()) {
       grow(std::size_t{size_} + 1);
     }
     data()[size_++] = value;
   }
   /// Grow capacity to at least `count`, preserving contents.
   void reserve(std::size_t count) {
-    if (count > capacity_) {
+    if (count > capacity()) {
       grow(count);
     }
   }
@@ -163,17 +171,24 @@ public:
     }
     size_ = static_cast<std::uint32_t>(count);
   }
+  /// Set the size to `count` with unspecified contents, for an output the
+  /// caller overwrites in full.
+  void resizeForOverwrite(std::size_t count) {
+    if (count > capacity()) {
+      replaceBuffer(count);
+    }
+    size_ = static_cast<std::uint32_t>(count);
+  }
   void assign(std::size_t count, value_type value) {
-    discardingReserve(count);
+    resizeForOverwrite(count);
     value_type* out = data();
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = value;
     }
-    size_ = static_cast<std::uint32_t>(count);
   }
   void assign(const value_type* first, const value_type* last) {
     const auto count = static_cast<std::size_t>(last - first);
-    if (count <= capacity_) {
+    if (count <= capacity()) {
       // memmove: the source range may alias this buffer (e.g. self-assign).
       std::memmove(data(), first, count * sizeof(value_type));
       size_ = static_cast<std::uint32_t>(count);
@@ -181,11 +196,7 @@ public:
     }
     auto* fresh = new value_type[count];
     std::memcpy(fresh, first, count * sizeof(value_type));
-    if (isHeap()) {
-      delete[] storage_.heap;
-    }
-    storage_.heap = fresh;
-    capacity_ = static_cast<std::uint32_t>(count);
+    adopt(fresh, count);
     size_ = static_cast<std::uint32_t>(count);
   }
 
@@ -195,47 +206,47 @@ public:
   }
 
 private:
-  [[nodiscard]] bool isHeap() const noexcept { return capacity_ > kInlineLimbs; }
-
-  /// Ensure capacity >= count without preserving contents (cheaper than
-  /// reserve when the caller overwrites everything anyway).
-  void discardingReserve(std::size_t count) {
-    if (count > capacity_) {
-      auto* fresh = new value_type[count];
-      if (isHeap()) {
-        delete[] storage_.heap;
-      }
-      storage_.heap = fresh;
-      capacity_ = static_cast<std::uint32_t>(count);
+  void release() noexcept {
+    if (heap_) {
+      delete[] storage_.heap.limbs;
     }
   }
+  /// Take ownership of `fresh` (capacity `capacity`) in place of the current
+  /// buffer; the size is the caller's to set.
+  void adopt(value_type* fresh, std::size_t capacity) noexcept {
+    release();
+    storage_.heap.limbs = fresh;
+    storage_.heap.capacity = capacity;
+    heap_ = true;
+  }
+  /// A buffer of `count` limbs without preserving contents.
+  void replaceBuffer(std::size_t count) { adopt(new value_type[count], count); }
 
   void grow(std::size_t minCapacity) {
-    std::size_t newCapacity = std::size_t{capacity_} * 2;
+    std::size_t newCapacity = capacity() * 2;
     if (newCapacity < minCapacity) {
       newCapacity = minCapacity;
     }
     auto* fresh = new value_type[newCapacity];
     std::memcpy(fresh, data(), size_ * sizeof(value_type));
-    if (isHeap()) {
-      delete[] storage_.heap;
-    }
-    storage_.heap = fresh;
-    capacity_ = static_cast<std::uint32_t>(newCapacity);
+    adopt(fresh, newCapacity);
   }
 
   union Storage {
     value_type inlineLimbs[kInlineLimbs];
-    value_type* heap;
+    struct {
+      value_type* limbs;
+      std::size_t capacity;
+    } heap;
   };
   Storage storage_;
   std::uint32_t size_ = 0;
-  std::uint32_t capacity_ = kInlineLimbs;
+  bool heap_ = false;
 };
 
 } // namespace detail
 
-/// Arbitrary-precision signed integer (sign + magnitude, 32-bit limbs).
+/// Arbitrary-precision signed integer (sign + magnitude, 64-bit limbs).
 ///
 /// Invariants:
 ///  - `limbs_` has no trailing (most-significant) zero limbs.
@@ -409,29 +420,29 @@ public:
   friend std::ostream& operator<<(std::ostream& os, const BigInt& value);
 
 private:
-  using Limb = std::uint32_t;
-  using DoubleLimb = std::uint64_t;
+  using Limb = std::uint64_t;
+  using DoubleLimb = unsigned __int128;
   using LimbVec = detail::LimbVec;
 
-  static constexpr std::size_t kLimbBits = 32;
-  static constexpr std::size_t kKaratsubaThreshold = 32; // limbs
+  static constexpr std::size_t kLimbBits = 64;
+  static constexpr std::size_t kKaratsubaThreshold = 48; // limbs, measured crossover
 
-  LimbVec limbs_; // little-endian magnitude
+  // The sign sits in the limb buffer's tail padding: 24 bytes in all.
+  [[no_unique_address]] LimbVec limbs_; // little-endian magnitude
   bool negative_ = false;
 
   void trim() noexcept;
 
-  // -- word-kernel helpers (fast paths over <= 2-limb magnitudes) -----------
+  // -- word-kernel helpers (fast paths over magnitudes below 2^64) ----------
 
   /// Magnitude fits in one machine word (|value| < 2^64).
-  [[nodiscard]] bool magFitsU64() const noexcept { return limbs_.size() <= 2; }
+  [[nodiscard]] bool magFitsU64() const noexcept { return limbs_.size() <= 1; }
   /// Magnitude as u64. \pre magFitsU64()
   [[nodiscard]] std::uint64_t magU64() const noexcept;
+  /// Overwrite with a one-limb magnitude.
+  void setMagU64(std::uint64_t magnitude, bool negative);
   /// Overwrite with a <= 2-limb magnitude; never allocates (inline capacity
   /// is always two limbs).
-  void setMagU64(std::uint64_t magnitude, bool negative);
-  /// Overwrite with a <= 4-limb magnitude (allocates only when spilling
-  /// past two limbs).
   void setMagU128(unsigned __int128 magnitude, bool negative);
 
   /// *this += (negative ? -1 : +1) * |p[0..n)|, in limbs_.  `p` may be
@@ -462,6 +473,8 @@ private:
 
 /// Convenience literal-ish factory: 2^exponent.
 [[nodiscard]] BigInt pow2(std::size_t exponent);
+
+static_assert(sizeof(BigInt) == 24, "the sign must share the limb buffer's tail padding");
 
 } // namespace qadd
 

@@ -1,7 +1,5 @@
 #include "core/algebraic_system.hpp"
 
-#include "numeric/handle.hpp"
-
 #include <algorithm>
 #include <array>
 #include <cassert>
@@ -20,27 +18,60 @@ AlgebraicSystem::AlgebraicSystem(Config config) : config_(config) {
   (void)o;
 }
 
+namespace {
+
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+} // namespace
+
 template <class Value> AlgebraicSystem::Weight AlgebraicSystem::internValue(Value&& value) {
-  // try_emplace copies or moves the key only when it inserts.
-  const auto [it, inserted] = pool_.try_emplace(std::forward<Value>(value));
-  if (inserted) {
-    try {
-      it->second = num::mintHandle(entries_.size());
-      entries_.push_back(&it->first);
-    } catch (...) {
-      pool_.erase(it); // a failed intern leaves no handle-less pool entry behind
-      throw;
-    }
-    const std::size_t bits = it->first.maxBits();
-    maxBits_ = std::max(maxBits_, bits);
-    if constexpr (obs::kEnabled) {
-      if (bitWidthHistogram_.size() <= bits) {
-        bitWidthHistogram_.resize(bits + 1, 0);
-      }
-      ++bitWidthHistogram_[bits];
+  const std::uint64_t hash = value.hash();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = static_cast<std::size_t>((hash * kGolden) >> slotShift_);
+  for (; slots_[slot].handle != num::kNoHandle; slot = (slot + 1) & mask) {
+    if (slots_[slot].hash == hash && this->value(slots_[slot].handle) == value) {
+      return slots_[slot].handle;
     }
   }
-  return it->second;
+  // Mint first: a failed mint leaves no entry behind.
+  const Weight handle = num::mintHandle(size_);
+  if (size_ == chunks_.size() * kChunkSize) {
+    chunks_.push_back(std::make_unique<QOmega[]>(kChunkSize));
+  }
+  QOmega& stored = chunks_[handle >> kChunkShift][handle & (kChunkSize - 1)];
+  stored = std::forward<Value>(value);
+  ++size_;
+  slots_[slot] = {hash, handle};
+  if (2 * size_ > slots_.size()) {
+    growIndex();
+  }
+  const std::size_t bits = stored.maxBits();
+  maxBits_ = std::max(maxBits_, bits);
+  if constexpr (obs::kEnabled) {
+    if (bitWidthHistogram_.size() <= bits) {
+      bitWidthHistogram_.resize(bits + 1, 0);
+    }
+    ++bitWidthHistogram_[bits];
+  }
+  return handle;
+}
+
+void AlgebraicSystem::growIndex() {
+  std::vector<Slot> grown(slots_.size() * 2);
+  const unsigned shift = slotShift_ - 1;
+  const std::size_t mask = grown.size() - 1;
+  for (const Slot& entry : slots_) {
+    if (entry.handle == num::kNoHandle) {
+      continue;
+    }
+    std::size_t slot = static_cast<std::size_t>((entry.hash * kGolden) >> shift);
+    while (grown[slot].handle != num::kNoHandle) {
+      slot = (slot + 1) & mask;
+    }
+    grown[slot] = entry;
+  }
+  slots_ = std::move(grown);
+  slotShift_ = shift;
 }
 
 AlgebraicSystem::Weight AlgebraicSystem::intern(const QOmega& value) { return internValue(value); }

@@ -17,6 +17,7 @@
 #include "algebraic/small_kernels.hpp"
 #include "core/computed_table.hpp"
 #include "core/dd_node.hpp"
+#include "numeric/handle.hpp"
 #include "obs/stats.hpp"
 
 #include <complex>
@@ -24,7 +25,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace qadd::dd {
@@ -74,7 +74,11 @@ public:
   /// to propagate (Algorithm 2 or 3).  \pre at least one weight is non-zero.
   Weight normalize(std::span<Weight> weights);
 
-  [[nodiscard]] const alg::QOmega& value(Weight w) const { return *entries_[w]; }
+  /// The interned value of `w`; the reference stays valid while the pool
+  /// grows.
+  [[nodiscard]] const alg::QOmega& value(Weight w) const {
+    return chunks_[w >> kChunkShift][w & (kChunkSize - 1)];
+  }
   /// Handle of `value`; an rvalue moves into the pool when it is new.
   [[nodiscard]] Weight intern(const alg::QOmega& value);
   [[nodiscard]] Weight intern(alg::QOmega&& value);
@@ -87,7 +91,7 @@ public:
   /// equal a recomputation; lossy caches are safe.
   [[nodiscard]] bool memoizationOrderDependent() const { return false; }
 
-  [[nodiscard]] std::size_t distinctValues() const { return entries_.size(); }
+  [[nodiscard]] std::size_t distinctValues() const { return size_; }
   /// This system's word-kernel fast-path tallies (see collectObs): the ring
   /// operations its own weight operations ran.  O(1), cheap enough for
   /// per-gate timeline sampling.
@@ -114,7 +118,7 @@ public:
   /// obs::WeightTableStats.
   void collectObs(obs::WeightTableStats& out) const {
     out.system = describe();
-    out.entries = entries_.size();
+    out.entries = size_;
     out.nearMissUnifications = 0; // interning is exact: no accuracy-loss events
     out.bucketOccupancy.clear();
     out.bitWidthHistogram = bitWidthHistogram_;
@@ -157,6 +161,8 @@ private:
   };
 
   template <class Value> [[nodiscard]] Weight internValue(Value&& value);
+  /// Double the index, re-placing each slot by its stored hash.
+  void growIndex();
 
   /// Interned handle of 1/value(w), memoized per handle.  The Q[omega]
   /// inverse (norm computation + gcd canonicalization over huge integers)
@@ -184,11 +190,21 @@ private:
   }
 
   Config config_;
-  // Intern pool: map owns the values; entries_ gives O(1) handle -> value.
-  // The map's nodes never move, so value(w) references stay valid while
-  // entries_ grows.
-  std::unordered_map<alg::QOmega, Weight> pool_;
-  std::vector<const alg::QOmega*> entries_;
+  // Intern pool.  Values live in fixed-size chunks indexed by handle, so
+  // they never move.  The index is one open-addressing array of (hash,
+  // handle) slots, linear probing, at most half full: a lookup hashes the
+  // value once and compares values only on a full 64-bit hash match, and
+  // growing re-places slots by their stored hashes without hashing values.
+  static constexpr std::size_t kChunkShift = 8;
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+  struct Slot {
+    std::uint64_t hash = 0;
+    Weight handle = num::kNoHandle;
+  };
+  std::vector<std::unique_ptr<alg::QOmega[]>> chunks_;
+  std::size_t size_ = 0;
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  unsigned slotShift_ = 64 - 6; ///< slot of a hash: (hash * golden) >> slotShift_
   std::vector<std::uint64_t> bitWidthHistogram_;
   std::size_t maxBits_ = 0;
   std::uint64_t weightsProduced_ = 0;

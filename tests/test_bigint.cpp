@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <random>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace qadd {
 namespace {
@@ -236,9 +241,13 @@ BigInt euclid(BigInt x, BigInt y) {
   return x;
 }
 
-/// A random magnitude of exactly `limbs` 32-bit limbs (zero for 0).
+/// Bits per BigInt limb.
+constexpr std::size_t kLimbBits = 64;
+
+/// A random magnitude of exactly `limbs` limbs (zero for 0).
 BigInt randomLimbs(std::mt19937_64& rng, std::size_t limbs) {
-  return limbs == 0 ? BigInt{0} : randomBits(rng, 32 * (limbs - 1) + 1 + rng() % 32);
+  return limbs == 0 ? BigInt{0}
+                    : randomBits(rng, kLimbBits * (limbs - 1) + 1 + rng() % kLimbBits);
 }
 
 /// Run `body` with the word kernels on, then off (the differential oracle).
@@ -266,8 +275,8 @@ TEST(BigInt, GcdMatchesEuclidOracleMultiLimb) {
     for (const std::size_t bitsB : sizes) {
       // Coprime-ish random operands, equal and very unequal sizes.
       check(randomBits(rng, bitsA), randomBits(rng, bitsB));
-      // A shared factor of 1-8 limbs.
-      const BigInt g = randomBits(rng, 32 * (1 + rng() % 8));
+      // A shared factor of 1-4 limbs.
+      const BigInt g = randomLimbs(rng, 1 + rng() % 4);
       const BigInt a = g * randomBits(rng, bitsA);
       const BigInt b = g * randomBits(rng, bitsB);
       check(a, b);
@@ -292,21 +301,21 @@ TEST(BigInt, GcdMatchesEuclidOracleMultiLimb) {
   check(current, previous);
   check(current * previous, previous * previous);
   // Values one below and above powers of two, around the limb boundaries.
-  for (const std::size_t bits : {64, 95, 96, 97, 128, 1024}) {
+  for (const std::size_t bits : {64, 95, 96, 97, 127, 128, 129, 192, 1024}) {
     check(pow2(bits) - BigInt{1}, pow2(bits) + BigInt{1});
     check(pow2(bits) - BigInt{1}, pow2(bits / 2) - BigInt{1});
   }
 }
 
 TEST(BigInt, GcdOfVeryUnequalOperandsMatchesEuclidOracle) {
-  // |a| >> |b|: a b of up to two limbs takes the one-pass 128-bit reduction,
-  // a wider b leaves Lehmer's window without a quotient, so the loop takes a
+  // |a| >> |b|: a one-limb b takes the one-pass reciprocal reduction, a
+  // wider b leaves Lehmer's window without a quotient, so the loop takes a
   // remainder-only step.  Both argument orders also run the reduction of
   // the larger operand before the loop.
   std::mt19937_64 rng(37);
   withAndWithoutFastPaths([&] {
-    for (const std::size_t smallLimbs : {1, 2, 3, 4, 7}) {
-      for (const std::size_t largeLimbs : {6, 20, 64}) {
+    for (const std::size_t smallLimbs : {1, 2, 3, 4}) {
+      for (const std::size_t largeLimbs : {3, 10, 32}) {
         const BigInt g = randomLimbs(rng, 1);
         const BigInt b = g * randomLimbs(rng, smallLimbs - 1);
         const BigInt a = g * randomLimbs(rng, largeLimbs);
@@ -323,11 +332,11 @@ TEST(BigInt, GcdOfVeryUnequalOperandsMatchesEuclidOracle) {
 }
 
 TEST(BigInt, DivExactMatchesDivMod) {
-  // Odd divisors of 1-40 limbs times quotients of 0-40 limbs, all signs.
+  // Odd divisors of 1-20 limbs times quotients of 0-20 limbs, all signs.
   std::mt19937_64 rng(41);
   withAndWithoutFastPaths([&] {
-    for (std::size_t divisorLimbs = 1; divisorLimbs <= 40; ++divisorLimbs) {
-      for (std::size_t quotientLimbs = 0; quotientLimbs <= 40; ++quotientLimbs) {
+    for (std::size_t divisorLimbs = 1; divisorLimbs <= 20; ++divisorLimbs) {
+      for (std::size_t quotientLimbs = 0; quotientLimbs <= 20; ++quotientLimbs) {
         BigInt divisor = randomLimbs(rng, divisorLimbs);
         if (divisor.isEven()) {
           divisor += BigInt{1};
@@ -351,7 +360,7 @@ TEST(BigInt, DivExactMatchesDivMod) {
       }
     }
     // Aliasing and a divisor equal to the numerator.
-    BigInt x = randomLimbs(rng, 7);
+    BigInt x = randomLimbs(rng, 4);
     if (x.isEven()) {
       x += BigInt{1};
     }
@@ -572,24 +581,27 @@ TEST(BigIntBoundary, JustOutsideInt64DoesNotFit) {
 }
 
 TEST(BigIntBoundary, InlineStorageCoversTwoLimbs) {
-  // Every <= 64-bit magnitude lives inline; the first 65-bit magnitude
+  // Every <= 128-bit magnitude lives inline; the first 129-bit magnitude
   // spills to the heap.
   const BigInt small{42};
-  const BigInt oneLimb{std::int64_t{0x7FFFFFFF}};
-  const BigInt twoLimbs = pow2(64) - BigInt{1};
-  const BigInt threeLimbs = pow2(64);
+  const BigInt oneLimb = pow2(64) - BigInt{1};
+  const BigInt twoLimbs = pow2(128) - BigInt{1};
+  const BigInt threeLimbs = pow2(128);
   EXPECT_TRUE(BigInt{0}.isInline());
   EXPECT_TRUE(small.isInline());
   EXPECT_TRUE(oneLimb.isInline());
+  EXPECT_TRUE(pow2(64).isInline());
   EXPECT_TRUE(twoLimbs.isInline());
   EXPECT_TRUE((-twoLimbs).isInline());
+  EXPECT_TRUE((oneLimb * oneLimb).isInline());
   EXPECT_FALSE(threeLimbs.isInline());
   // Shrinking a spilled value back under the threshold keeps correctness
   // (re-inlining is not required, only value equality).
-  const BigInt shrunk = threeLimbs - pow2(64) + BigInt{7};
+  const BigInt shrunk = threeLimbs - pow2(128) + BigInt{7};
   EXPECT_EQ(shrunk.toInt64(), 7);
-  EXPECT_EQ(threeLimbs.bitLength(), 65U);
-  EXPECT_EQ(twoLimbs.bitLength(), 64U);
+  EXPECT_EQ(threeLimbs.bitLength(), 129U);
+  EXPECT_EQ(twoLimbs.bitLength(), 128U);
+  EXPECT_EQ(sizeof(BigInt), 24U);
 }
 
 TEST(BigIntBoundary, FromInt128Edges) {
@@ -648,6 +660,185 @@ TEST(BigIntBoundary, KernelOverflowEdgesDivShift) {
   EXPECT_EQ(near64.shiftRight(64).toInt64(), 0);
   EXPECT_EQ(BigInt::gcd(pow2(64), pow2(63)), pow2(63));
   EXPECT_EQ(BigInt::gcd(near64, near64), near64);
+}
+
+// ---------------------------------------------------------------------------
+// Limb boundaries.  Operands at +-(2^(32k) +- 1) and +-(2^(64k) +- 1) for
+// k = 1..6, every ordered pair, against results computed with Python `int`
+// and pinned below: the operand magnitudes as decimal strings, each
+// operation's results as the FNV-1a 64 of their decimal strings (one per
+// line), encodings or double decompositions, in the generator's order
+// (magnitudes as listed, each -1 then +1, each positive then negative).
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char byte : bytes) {
+    hash = (hash ^ static_cast<std::uint8_t>(byte)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::vector<BigInt> limbBoundaryOperands() {
+  // 2^e - 1 and 2^e + 1 for e = 32, 64, 96, 128, 160, 192, 256, 320, 384.
+  constexpr const char* kMagnitudes[] = {
+      "4294967295",
+      "4294967297",
+      "18446744073709551615",
+      "18446744073709551617",
+      "79228162514264337593543950335",
+      "79228162514264337593543950337",
+      "340282366920938463463374607431768211455",
+      "340282366920938463463374607431768211457",
+      "1461501637330902918203684832716283019655932542975",
+      "1461501637330902918203684832716283019655932542977",
+      "6277101735386680763835789423207666416102355444464034512895",
+      "6277101735386680763835789423207666416102355444464034512897",
+      "115792089237316195423570985008687907853269984665640564039457584007913129639935",
+      "115792089237316195423570985008687907853269984665640564039457584007913129639937",
+      "2135987035920910082395021706169552114602704522356652769947041607822219725780640550022962086"
+      "936575",
+      "2135987035920910082395021706169552114602704522356652769947041607822219725780640550022962086"
+      "936577",
+      "3940200619639447921227904010014361380507973927046544666794829340424572177149721061141426625"
+      "4884915640806627990306815",
+      "3940200619639447921227904010014361380507973927046544666794829340424572177149721061141426625"
+      "4884915640806627990306817",
+  };
+  std::vector<BigInt> operands;
+  for (const char* magnitude : kMagnitudes) {
+    const BigInt value{magnitude};
+    operands.push_back(value);
+    operands.push_back(-value);
+  }
+  return operands;
+}
+
+TEST(BigIntLimbBoundary, OperandsAreTheBoundaryValues) {
+  const std::vector<BigInt> operands = limbBoundaryOperands();
+  std::size_t i = 0;
+  for (const std::size_t e : {32, 64, 96, 128, 160, 192, 256, 320, 384}) {
+    for (const int offset : {-1, 1}) {
+      EXPECT_EQ(operands[i++], pow2(e) + BigInt{offset}) << e;
+      EXPECT_EQ(operands[i++], -(pow2(e) + BigInt{offset})) << e;
+    }
+  }
+}
+
+TEST(BigIntLimbBoundary, ArithmeticMatchesPythonInt) {
+  const std::vector<BigInt> operands = limbBoundaryOperands();
+  const auto line = [](std::string& out, const BigInt& x) { out += x.toString() + "\n"; };
+  const auto pair = [](std::string& out, const BigInt& x, const BigInt& y) {
+    out += x.toString() + "," + y.toString() + "\n";
+  };
+  withAndWithoutFastPaths([&] {
+    std::string sums, differences, products, quotients, gcds;
+    for (const BigInt& a : operands) {
+      for (const BigInt& b : operands) {
+        line(sums, a + b);
+        line(differences, a - b);
+        const BigInt product = a * b;
+        line(products, product);
+        BigInt quotient;
+        BigInt remainder;
+        BigInt::divMod(a, b, quotient, remainder);
+        pair(quotients, quotient, remainder);
+        line(gcds, BigInt::gcd(a, b));
+        // Every operand is odd, so it divides its products exactly.
+        BigInt exact = product;
+        EXPECT_EQ(exact.divExact(b), a) << product << " / " << b;
+      }
+    }
+    EXPECT_EQ(fnv1a(sums), 0xcf2fcd95dc7b8e17ULL);
+    EXPECT_EQ(fnv1a(differences), 0x549d255babbcba63ULL);
+    EXPECT_EQ(fnv1a(products), 0xfd1739f35dad9787ULL);
+    EXPECT_EQ(fnv1a(quotients), 0xa45a70b7e5545383ULL);
+    EXPECT_EQ(fnv1a(gcds), 0x01ad0d29dab059adULL);
+  });
+}
+
+TEST(BigIntLimbBoundary, ShiftsAndConversionsMatchPythonInt) {
+  const std::vector<BigInt> operands = limbBoundaryOperands();
+  withAndWithoutFastPaths([&] {
+    std::string shifts;
+    std::vector<std::uint8_t> encodings;
+    std::string doubles;
+    const auto encode = [&](const BigInt& x) {
+      x.toBytes(encodings);
+      long exponent = 0;
+      const double mantissa = x.toDoubleScaled(exponent);
+      char text[48];
+      std::snprintf(text, sizeof(text), "%016llx,%ld\n",
+                    static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(mantissa)),
+                    exponent);
+      doubles += text;
+      EXPECT_EQ(BigInt{x.toString()}, x);
+      EXPECT_EQ(BigInt::fromBytes(x.toBytes()), x);
+    };
+    for (const BigInt& a : operands) {
+      for (const std::size_t bits : {1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 191, 192, 193}) {
+        shifts += a.shiftLeft(bits).toString() + "," + a.shiftRight(bits).toString() + "\n";
+      }
+      encode(a);
+      for (const BigInt& b : operands) {
+        encode(a * b);
+      }
+    }
+    EXPECT_EQ(fnv1a(shifts), 0x7812b39a1d65ffb3ULL);
+    EXPECT_EQ(fnv1a({reinterpret_cast<const char*>(encodings.data()), encodings.size()}),
+              0x480f54cc15231615ULL);
+    EXPECT_EQ(fnv1a(doubles), 0x336eb3e4aaed54c9ULL);
+  });
+}
+
+TEST(BigIntLimbBoundary, AlgorithmDQuotientEstimateCorrections) {
+  // Dividend, divisor, quotient, remainder (Python `int`).  With 64-bit
+  // limbs, the first two-limb estimate q_hat of one quotient limb is one too
+  // large and the second-limb test corrects it; then two too large, corrected
+  // twice; then one too large past that test, so the multiply-and-subtract
+  // goes negative and adds back; then both.
+  const struct {
+    const char* dividend;
+    const char* divisor;
+    const char* quotient;
+    const char* remainder;
+  } cases[] = {
+      {"57896044618658097721201145107423975072728958834552720107337570562269260668201",
+       "170141183460469231742524476401132836791", "340282366920938463497040494282399404177",
+       "145580520979072906598745450661075992194"},
+      {"2135987035920910082163437527694919723768116755810050315768003076153893461302179958848"
+       "278597992448",
+       "3138550867693340382598459445445710134959480193021844127746",
+       "680564733841876926705388285979021803575",
+       "3138550867693340338872175296105117581373135919866978500498"},
+      {"1067993517960455041313302942322092252718646144451627612063582043152811208118683071017"
+       "258510712832",
+       "6277101735386680763835789423207666416083908700390324961279",
+       "170141183460469231750134047789593657343",
+       "3138550867693340383055362261253688508253807075708041691135"},
+      {"2135987035920910082279229616932235919174499771584431854417985181983125846657980887201"
+       "214298587137",
+       "1461501637671185285124623296179657627087700754430",
+       "1461501636990620551282746369252908412220993780327",
+       "279825845670719474490183487198196753198706488527"},
+  };
+  withAndWithoutFastPaths([&] {
+    for (const auto& c : cases) {
+      for (const int signA : {1, -1}) {
+        for (const int signB : {1, -1}) {
+          const BigInt a = BigInt{c.dividend} * BigInt{signA};
+          const BigInt b = BigInt{c.divisor} * BigInt{signB};
+          BigInt quotient;
+          BigInt remainder;
+          BigInt::divMod(a, b, quotient, remainder);
+          EXPECT_EQ(quotient, BigInt{c.quotient} * BigInt{signA * signB}) << a << " / " << b;
+          EXPECT_EQ(remainder, BigInt{c.remainder} * BigInt{signA}) << a << " % " << b;
+          EXPECT_EQ(a / b, quotient);
+          EXPECT_EQ(a % b, remainder);
+        }
+      }
+    }
+  });
 }
 
 } // namespace
